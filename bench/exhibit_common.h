@@ -21,6 +21,7 @@
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
+#include "src/platform/sim_environment.h"
 #include "src/platform/simulate.h"
 
 namespace pronghorn::bench {
@@ -167,8 +168,8 @@ inline std::unique_ptr<OrchestrationPolicy> MakePolicy(PolicyKind kind,
 }
 
 // Runs one closed-loop experiment (the §5.1 measurement protocol) through
-// the unified Simulate() entry point in its single-function configuration
-// (one worker slot, sub-seed = seed — the historical FunctionSimulation).
+// Simulate() in its single-function configuration (one worker slot,
+// sub-seed = seed).
 inline SimulationReport RunClosedLoop(const WorkloadProfile& profile, PolicyKind kind,
                                       uint32_t eviction_k, uint64_t requests,
                                       uint64_t seed, bool input_noise = true) {
@@ -193,6 +194,25 @@ inline SimulationReport RunClosedLoop(const WorkloadProfile& profile, PolicyKind
     std::exit(1);
   }
   return std::move(report->per_function.front().report);
+}
+
+// Exits with the status message when `status` is an error.
+inline void MustOk(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
+// Trace arrivals addressed to one deployment of a SimEnvironment.
+inline std::vector<SimEnvironment::Arrival> ArrivalsFor(size_t deployment,
+                                                        const std::vector<TimePoint>& times) {
+  std::vector<SimEnvironment::Arrival> arrivals;
+  arrivals.reserve(times.size());
+  for (const TimePoint time : times) {
+    arrivals.push_back(SimEnvironment::Arrival{deployment, time});
+  }
+  return arrivals;
 }
 
 // Prints a percentile row of a latency distribution in microseconds.

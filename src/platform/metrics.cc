@@ -1,5 +1,7 @@
 #include "src/platform/metrics.h"
 
+#include <utility>
+
 namespace pronghorn {
 
 DistributionSummary SimulationReport::LatencySummary() const {
@@ -22,6 +24,29 @@ DistributionSummary SimulationReport::LatencySummaryForMaturity(uint64_t lo,
 }
 
 double SimulationReport::MedianLatencyUs() const { return LatencySummary().Median(); }
+
+void SimReport::AddFunction(std::string name, SimulationReport report) {
+  for (const RequestRecord& record : report.records) {
+    latency.Add(static_cast<double>(record.latency.ToMicros()));
+    latency_hist.Add(static_cast<uint64_t>(record.latency.ToMicros()));
+  }
+  worker_lifetimes += report.worker_lifetimes;
+  checkpoints += report.checkpoints;
+  restores += report.restores;
+  cold_starts += report.cold_starts;
+  functions_total += 1;
+  invocations_total += report.records.size();
+  per_function.push_back(SimFunctionResult{std::move(name), std::move(report)});
+}
+
+const SimulationReport* SimReport::Find(std::string_view name) const {
+  for (const SimFunctionResult& result : per_function) {
+    if (result.function == name) {
+      return &result.report;
+    }
+  }
+  return nullptr;
+}
 
 void MergeAccounting(StoreAccounting& into, const StoreAccounting& from) {
   into.logical_bytes_stored += from.logical_bytes_stored;

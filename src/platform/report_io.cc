@@ -227,6 +227,20 @@ uint32_t ReportDigest(std::span<const NamedReportRef> per_function,
   return Crc32(writer.data());
 }
 
+uint32_t SimReport::Digest() const {
+  if (retention != ReportRetention::kAll) {
+    // per_function is decimated; the streaming fold's CRC-combined digest is
+    // the canonical one (identical to what a keep-all run computes).
+    return streaming_digest;
+  }
+  std::vector<NamedReportRef> rows;
+  rows.reserve(per_function.size());
+  for (const SimFunctionResult& result : per_function) {
+    rows.push_back(NamedReportRef{result.function, &result.report});
+  }
+  return ReportDigest(rows, *this);
+}
+
 void SerializeClusterReport(const ClusterReport& report, ByteWriter& writer) {
   SerializeFunctionReport(report, writer);
   SerializeStoreAccounting(report.object_store, writer);

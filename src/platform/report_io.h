@@ -17,7 +17,6 @@
 
 #include "src/common/bytes.h"
 #include "src/obs/metrics.h"
-#include "src/platform/cluster_simulation.h"
 #include "src/platform/metrics.h"
 #include "src/platform/sim_options.h"
 
@@ -63,7 +62,7 @@ void SerializeFaultRecoveryStats(const FaultRecoveryStats& stats, ByteWriter& wr
 void SerializeReportCore(const ReportCore& core, ByteWriter& writer);
 
 // Field-wise fold of one core into another (store/database accountings sum,
-// fault counters sum). The one merge every multi-deployment driver uses.
+// fault counters sum). The one merge every multi-deployment run uses.
 void MergeReportCore(ReportCore& into, const ReportCore& from);
 
 // One named per-function row of a multi-deployment digest.
@@ -74,9 +73,9 @@ struct NamedReportRef {
 
 // CRC32 over the canonical multi-deployment serialization: every per-function
 // report (name + SerializeFunctionReport) in the order given — callers pass
-// name-sorted rows — followed by the shared core. PlatformReport::Digest(),
-// FleetReport::Digest(), and SimReport::Digest() are all this function, which
-// is what makes their digests directly comparable.
+// name-sorted rows — followed by the shared core. SimReport::Digest() is this
+// function for every topology, which is what makes a one-function kFleet run
+// and a one-function kPlatform run hash identically.
 uint32_t ReportDigest(std::span<const NamedReportRef> per_function,
                       const ReportCore& core);
 
@@ -116,7 +115,7 @@ Result<ClusterReport> DeserializeClusterReport(ByteReader& reader);
 // function, and Crc32Combine stitches the rows (sorted by name) and the
 // merged core back into the one-shot CRC without the bytes ever coexisting
 // in memory. Keep-all mode additionally retains every report body, making
-// the assembled FleetReport bit-identical to the historical path.
+// the assembled SimReport bit-identical to the historical path.
 //
 // Both bounded modes pick the retained subset as a pure function of the
 // folded SET (never of fold order), so retained output is bit-stable across
@@ -131,7 +130,7 @@ class StreamingAccumulator {
     uint64_t length = 0;
   };
 
-  // Everything Take() hands back to the driver assembling the final report.
+  // Everything Take() hands back to the caller assembling the final report.
   struct Merged {
     ReportRetention retention = ReportRetention::kAll;
     ReportCore core;

@@ -48,7 +48,7 @@ namespace pronghorn {
 // different experiment.
 struct SimFingerprint {
   uint64_t seed = 0;
-  uint32_t topology = 0;  // SimTopology ordinal of the producing driver.
+  uint32_t topology = 0;  // SimTopology ordinal of the producing run.
   // Fold one deployment into the fingerprint (order-insensitive: entries are
   // hashed individually and combined with an XOR-style commutative mix).
   void AddFunction(std::string_view name, uint64_t requests, uint32_t worker_slots,

@@ -1,13 +1,12 @@
-// The shared worker-lifecycle kernel behind every simulation driver.
+// The worker-lifecycle kernel behind every simulation topology.
 //
-// All four drivers (function / cluster / platform / fleet) used to carry
-// their own copy of the same state machine: provision a worker when none is
-// warm (restore, cold start, or degraded start — the Orchestrator decides),
-// serve the request, account an optional checkpoint, and evict per the
-// eviction model. SimCore is that state machine, extracted once: one warm
-// slot driven by the simulated clock, writing into a SimulationReport.
-// Drivers differ only in how many cores they instantiate and how requests
-// are dispatched onto them (see sim_environment.h).
+// One state machine: provision a worker when none is warm (restore, cold
+// start, or degraded start — the Orchestrator decides), serve the request,
+// account an optional checkpoint, and evict per the eviction model. A SimCore
+// is one warm slot driven by the simulated clock, writing into a
+// SimulationReport. Topologies differ only in how many cores they
+// instantiate and how requests are dispatched onto them (see
+// sim_environment.h).
 
 #ifndef PRONGHORN_SRC_PLATFORM_SIM_CORE_H_
 #define PRONGHORN_SRC_PLATFORM_SIM_CORE_H_

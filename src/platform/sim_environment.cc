@@ -102,16 +102,7 @@ SimEnvironment::SimEnvironment(const WorkloadRegistry& registry, SimOptions opti
     if (options_.service.instance != nullptr) {
       service_ = options_.service.instance;
     } else {
-      ServiceConfig config;
-      config.shards = options_.service.shards;
-      config.queue_capacity = options_.service.queue_capacity;
-      config.max_batch = options_.service.max_batch;
-      config.flush_interval = options_.service.flush_interval;
-      config.journal_dir = options_.service.journal_dir;
-      config.shed_deadline_ms = options_.service.shed_deadline_ms;
-      config.faults = options_.faults.service;
-      config.obs = options_.obs;
-      owned_service_ = std::make_unique<OrchestratorService>(config);
+      owned_service_ = std::make_unique<OrchestratorService>(ServiceConfigFor(options_));
       service_ = owned_service_.get();
     }
   }
@@ -135,6 +126,19 @@ uint64_t SimEnvironment::DeploymentSeed(uint64_t seed, std::string_view name) {
   return HashCombine(seed, HashCombine(0xf1ee7ULL, StableNameHash(name)));
 }
 
+ServiceConfig SimEnvironment::ServiceConfigFor(const SimOptions& options) {
+  ServiceConfig config;
+  config.shards = options.service.shards;
+  config.queue_capacity = options.service.queue_capacity;
+  config.max_batch = options.service.max_batch;
+  config.flush_interval = options.service.flush_interval;
+  config.journal_dir = options.service.journal_dir;
+  config.shed_deadline_ms = options.service.shed_deadline_ms;
+  config.faults = options.faults.service;
+  config.obs = options.obs;
+  return config;
+}
+
 KvDatabase& SimEnvironment::active_database() {
   return faulty_db_.has_value() ? static_cast<KvDatabase&>(*faulty_db_)
                                 : static_cast<KvDatabase&>(db_);
@@ -156,7 +160,7 @@ Status SimEnvironment::AddDeployment(std::string name, const WorkloadProfile& pr
                                      const OrchestrationPolicy& policy,
                                      const EvictionModel& eviction,
                                      uint32_t worker_slots, uint32_t exploring_slots,
-                                     uint64_t sub_seed) {
+                                     uint64_t sub_seed, std::string_view state_scope) {
   if (name.empty()) {
     return InvalidArgumentError("deployment name must be non-empty");
   }
@@ -173,9 +177,10 @@ Status SimEnvironment::AddDeployment(std::string name, const WorkloadProfile& pr
   deployment.exploit_policy =
       std::make_unique<StopConditionPolicy>(policy, /*explore_requests=*/0);
   deployment.engine = MakeEngine(options_.engine_kind, HashCombine(sub_seed, 0xe1ULL));
+  const std::string scope = state_scope.empty() ? deployment.name : std::string(state_scope);
   deployment.state_store = std::make_unique<PolicyStateStore>(
-      active_database(), deployment.name, policy.config(), &clock_,
-      StateStoreRetryPolicy{}, options_.state_cache);
+      active_database(), scope, policy.config(), &clock_, StateStoreRetryPolicy{},
+      options_.state_cache);
   deployment.input_model = std::make_unique<InputModel>(profile, options_.input_noise);
   deployment.client_rng = Rng(HashCombine(sub_seed, 0xc1ULL));
 
@@ -186,7 +191,7 @@ Status SimEnvironment::AddDeployment(std::string name, const WorkloadProfile& pr
         exploring ? policy
                   : static_cast<const OrchestrationPolicy&>(*deployment.exploit_policy);
     // Slot 0 keeps the historical single-worker substream so single-slot
-    // environments replay bit-identically to the pre-kernel drivers.
+    // environments replay the pinned single-function digests bit-for-bit.
     const uint64_t slot_seed =
         i == 0 ? HashCombine(sub_seed, 0x0eULL)
                : HashCombine(sub_seed, HashCombine(0x0eULL, i));
@@ -325,57 +330,6 @@ Status SimEnvironment::RunArrivals(std::span<const Arrival> arrivals) {
   return OkStatus();
 }
 
-Status SimEnvironment::RunArrivalStream(ArrivalSource& source) {
-  // The slot whose idle-eviction decision is still waiting on its
-  // deployment's next arrival (one per deployment, O(deployments) state).
-  std::vector<SimCore*> pending_evict(deployments_.size(), nullptr);
-  bool first = true;
-  TimePoint prev;
-  while (true) {
-    std::optional<Arrival> next = source.Next();
-    if (!next.has_value()) {
-      break;
-    }
-    const Arrival arrival = *next;
-    if (arrival.deployment >= deployments_.size()) {
-      return InvalidArgumentError("arrival references an unknown deployment");
-    }
-    Deployment& deployment = deployments_[arrival.deployment];
-    if (deployment.slots.empty()) {
-      return FailedPreconditionError("deployment '" + deployment.name +
-                                     "' has no worker slots");
-    }
-    if (!first && arrival.arrival < prev) {
-      return InvalidArgumentError("trace arrivals must be non-decreasing");
-    }
-    first = false;
-    prev = arrival.arrival;
-    // The deployment's successor arrival is now known: resolve the deferred
-    // eviction check exactly as RunArrivals' lookahead would have.
-    if (SimCore* held = pending_evict[arrival.deployment]; held != nullptr) {
-      held->MaybeEvict(/*has_next=*/true, arrival.arrival, deployment.report);
-    }
-    // Least-loaded slot within the deployment (same tie-break as
-    // RunArrivals); with every slot busy the request queues behind the
-    // earliest-free one.
-    SimCore* slot = &deployment.slots[0];
-    for (SimCore& candidate : deployment.slots) {
-      if (candidate.free_at() < slot->free_at()) {
-        slot = &candidate;
-      }
-    }
-    PRONGHORN_RETURN_IF_ERROR(Dispatch(deployment, *slot, arrival.arrival));
-    pending_evict[arrival.deployment] = slot;
-  }
-  for (size_t d = 0; d < deployments_.size(); ++d) {
-    if (pending_evict[d] != nullptr) {
-      pending_evict[d]->MaybeEvict(/*has_next=*/false, TimePoint{},
-                                   deployments_[d].report);
-    }
-  }
-  return OkStatus();
-}
-
 void SimEnvironment::RetireAllWorkers() {
   for (Deployment& deployment : deployments_) {
     for (SimCore& slot : deployment.slots) {
@@ -394,29 +348,27 @@ void SimEnvironment::FinishReport(Deployment& deployment, SimulationReport& repo
   AccumulateStateStore(report.faults, deployment.state_store->stats());
 }
 
-EnvironmentReport SimEnvironment::TakeReport() {
-  EnvironmentReport out;
+SimReport SimEnvironment::TakeReport() {
+  std::vector<Deployment*> by_name;
+  by_name.reserve(deployments_.size());
   for (Deployment& deployment : deployments_) {
-    SimulationReport report = std::move(deployment.report);
-    deployment.report = SimulationReport{};
-    FinishReport(deployment, report);
+    by_name.push_back(&deployment);
+  }
+  std::sort(by_name.begin(), by_name.end(),
+            [](const Deployment* a, const Deployment* b) { return a->name < b->name; });
+  SimReport out;
+  for (Deployment* deployment : by_name) {
+    SimulationReport report = std::exchange(deployment->report, SimulationReport{});
+    FinishReport(*deployment, report);
     MergeFaultRecoveryStats(out.faults, report.faults);
-    out.per_function.emplace(deployment.name, std::move(report));
+    out.AddFunction(deployment->name, std::move(report));
   }
   // The base snapshot store's accounting: for a flat build this is exactly
   // object_store_.accounting(); for a dedup build it carries the chunk-level
   // physical view alongside the identical digest-covered logical fields.
   out.object_store = base_snapshot_store_->accounting();
   out.database = db_.accounting();
-  if (faulty_object_store_.has_value()) {
-    AccumulateStoreFaults(out.faults, faulty_object_store_->stats());
-  }
-  if (faulty_snapshot_store_.has_value()) {
-    AccumulateStoreFaults(out.faults, faulty_snapshot_store_->stats());
-  }
-  if (faulty_db_.has_value()) {
-    AccumulateDatabaseFaults(out.faults, faulty_db_->stats());
-  }
+  AccumulateDecoratorFaults(out.faults);
   return out;
 }
 
@@ -427,16 +379,20 @@ SimulationReport SimEnvironment::TakeFlatReport() {
   FinishReport(deployment, report);
   report.object_store = base_snapshot_store_->accounting();
   report.database = db_.accounting();
+  AccumulateDecoratorFaults(report.faults);
+  return report;
+}
+
+void SimEnvironment::AccumulateDecoratorFaults(FaultRecoveryStats& faults) const {
   if (faulty_object_store_.has_value()) {
-    AccumulateStoreFaults(report.faults, faulty_object_store_->stats());
+    AccumulateStoreFaults(faults, faulty_object_store_->stats());
   }
   if (faulty_snapshot_store_.has_value()) {
-    AccumulateStoreFaults(report.faults, faulty_snapshot_store_->stats());
+    AccumulateStoreFaults(faults, faulty_snapshot_store_->stats());
   }
   if (faulty_db_.has_value()) {
-    AccumulateDatabaseFaults(report.faults, faulty_db_->stats());
+    AccumulateDatabaseFaults(faults, faulty_db_->stats());
   }
-  return report;
 }
 
 Result<size_t> SimEnvironment::DeploymentIndex(std::string_view name) const {

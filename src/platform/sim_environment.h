@@ -1,18 +1,25 @@
-// The shared simulation environment behind every driver: one control plane.
+// The simulation environment: one control plane and the deployments on it.
 //
 // A SimEnvironment owns the global stores (Database + Object Store), the
-// optional fault decorators around them, the simulated clock, and any number
-// of function deployments. Each deployment owns its checkpoint engine,
-// policy-state scope, input model, client RNG, and a row of SimCore worker
-// slots (the first `exploring_slots` run the exploring policy, the rest a
-// frozen exploit-only wrapper). The four public drivers are thin
-// configurations of this class:
+// optional fault decorators around them, the simulated clock, the live
+// service in service mode, and any number of function deployments. Each
+// deployment owns its checkpoint engine, policy-state scope, input model,
+// client RNG, and a row of SimCore worker slots (the first `exploring_slots`
+// run the exploring policy, the rest a frozen exploit-only wrapper).
 //
-//   FunctionSimulation  — one deployment, one slot
-//   ClusterSimulation   — one deployment, many slots
-//   PlatformSimulation  — many deployments, shared stores, one slot each
-//   FleetSimulation     — one single-deployment environment per shard,
-//                         merged canonically across a thread pool
+// Simulate() (simulate.h) is the one-shot surface and builds environments
+// itself: one for kSingle, one shared by every deployment for kPlatform, one
+// per deployment for kFleet. Use a SimEnvironment directly when a run needs
+// incremental control — repeated runs on persistent learned state, trace
+// replay (RunArrivals), a borrowed EvictionModel, or the engine/store/policy
+// state accessors:
+//
+//   SimEnvironment env(registry, options);
+//   env.AddDeployment(profile.name, profile, policy, eviction,
+//                     /*worker_slots=*/1, /*exploring_slots=*/1, options.seed);
+//   env.RunClosedLoop(500);          // or RunArrivals(trace arrivals)
+//   env.RetireAllWorkers();
+//   SimulationReport flat = env.TakeFlatReport();  // or TakeReport()
 //
 // Determinism contract: every RNG substream keys off the deployment's
 // sub-seed (engine = HashCombine(sub_seed, 0xe1), client = 0xc1, slot 0's
@@ -23,7 +30,6 @@
 #ifndef PRONGHORN_SRC_PLATFORM_SIM_ENVIRONMENT_H_
 #define PRONGHORN_SRC_PLATFORM_SIM_ENVIRONMENT_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -52,49 +58,12 @@
 
 namespace pronghorn {
 
-// Multi-deployment results: per-function reports plus environment-wide
-// accounting over the shared stores. Per-function `faults` cover that
-// deployment's orchestrators and state store; the environment-level `faults`
-// additionally fold in the shared store/database decorators, which cannot be
-// attributed to a single function.
-struct EnvironmentReport : ReportCore {
-  std::map<std::string, SimulationReport> per_function;
-};
-
 class SimEnvironment {
  public:
   // One request arrival in a trace-driven run, resolved to a deployment.
   struct Arrival {
     size_t deployment = 0;
     TimePoint arrival;
-  };
-
-  // Pull-based arrival feed for RunArrivalStream: yields arrivals in
-  // non-decreasing time order, nullopt at end-of-stream. Implementations
-  // (e.g. an adapter over trace/FleetArrivalStream) hold O(1)–O(functions)
-  // state, never the materialized invocation list.
-  class ArrivalSource {
-   public:
-    virtual ~ArrivalSource() = default;
-    virtual std::optional<Arrival> Next() = 0;
-  };
-
-  // Adapter replaying a materialized arrival list as a stream (tests and
-  // callers that already hold a trace).
-  class SpanArrivalSource final : public ArrivalSource {
-   public:
-    explicit SpanArrivalSource(std::span<const Arrival> arrivals)
-        : arrivals_(arrivals) {}
-    std::optional<Arrival> Next() override {
-      if (next_ >= arrivals_.size()) {
-        return std::nullopt;
-      }
-      return arrivals_[next_++];
-    }
-
-   private:
-    std::span<const Arrival> arrivals_;
-    size_t next_ = 0;
   };
 
   SimEnvironment(const WorkloadRegistry& registry, SimOptions options);
@@ -108,16 +77,30 @@ class SimEnvironment {
   // (seed, name) — not on thread count, composition, or registration order.
   static uint64_t DeploymentSeed(uint64_t seed, std::string_view name);
 
+  // The live-service configuration `options.service` describes. An
+  // environment without a borrowed service.instance builds its private
+  // service from this; a kFleet run builds the one service its shards share.
+  static ServiceConfig ServiceConfigFor(const SimOptions& options);
+
   // Registers a deployment with `worker_slots` slots, of which the first
   // `exploring_slots` (clamped to worker_slots) run `policy` and the rest a
   // frozen exploit-only wrapper over it. `profile`, `policy`, and `eviction`
   // are borrowed and must outlive the environment. `sub_seed` scopes every
-  // RNG substream of the deployment; single-deployment drivers pass their
-  // experiment seed, multi-deployment drivers pass DeploymentSeed(seed, name).
+  // RNG substream of the deployment; single-deployment runs pass their
+  // experiment seed, multi-deployment runs pass DeploymentSeed(seed, name).
+  //
+  // `name` must be unique in the environment: it keys DeploymentIndex, the
+  // report row, the trace process and — in service mode — the service
+  // binding, which a kFleet run shares across concurrent shards.
+  // `state_scope` names the deployment's policy-state keys and snapshot
+  // objects ("policy/<scope>/state", "snapshots/<scope>/..."); empty means
+  // `name`. Those bytes are digest-covered, which is why kSingle/kFleet keep
+  // the profile name there whatever the deployment is called.
   Status AddDeployment(std::string name, const WorkloadProfile& profile,
                        const OrchestrationPolicy& policy,
                        const EvictionModel& eviction, uint32_t worker_slots,
-                       uint32_t exploring_slots, uint64_t sub_seed);
+                       uint32_t exploring_slots, uint64_t sub_seed,
+                       std::string_view state_scope = {});
 
   // Closed loop with one outstanding request per slot: each request goes to
   // the slot (across all deployments) that frees earliest, and is issued the
@@ -130,30 +113,23 @@ class SimEnvironment {
   // every slot is busy queues behind the earliest-free one.
   Status RunArrivals(std::span<const Arrival> arrivals);
 
-  // Trace-driven from a pull source, for replays whose invocation list is
-  // too large to materialize (fleet-scale streaming traces). Dispatch order
-  // and slot choice match RunArrivals exactly; the one divergence is idle
-  // eviction, which RunArrivals resolves via a whole-trace lookahead and a
-  // stream cannot — here a deployment's eviction check is deferred until its
-  // successor arrival is pulled (or end-of-stream). The deferral reorders a
-  // slot's store deletes relative to OTHER deployments' traffic, so replays
-  // are bit-equivalent to RunArrivals for single-deployment environments and
-  // for runs whose eviction model never fires mid-trace; multi-deployment
-  // runs with mid-trace eviction may differ in store-accounting peaks and
-  // fault-RNG draw order while serving the identical request sequence.
-  Status RunArrivalStream(ArrivalSource& source);
-
   // Retires every still-warm worker at the current simulated time, folding
-  // occupancy accounting into the per-deployment reports. Closed-loop drivers
-  // call this at the end of a run; trace replays that keep sessions warm
-  // across calls (PlatformSimulation::Replay) do not.
+  // occupancy accounting into the per-deployment reports. Closed-loop runs
+  // call this at the end; trace replays that keep sessions warm across calls
+  // do not.
   void RetireAllWorkers();
 
   // Harvests results accumulated since the previous Take*. Records and
   // lifecycle counters are per-epoch; store accounting, overheads, faults,
-  // and end_time are cumulative snapshots of the environment (matching the
-  // drivers' historical semantics for repeated runs).
-  EnvironmentReport TakeReport();
+  // and end_time are cumulative snapshots of the environment (so repeated
+  // runs on one environment report like one long experiment).
+  //
+  // TakeReport: every deployment's report in name order plus the
+  // environment-wide accounting. Per-function `faults` cover that
+  // deployment's orchestrators and state store; the report-level `faults`
+  // additionally fold in the shared store/database decorators, which cannot
+  // be attributed to a single function.
+  SimReport TakeReport();
   // Single-deployment flattening: the per-function report with the
   // environment-wide store accounting and decorator fault stats folded in.
   // Requires exactly one deployment.
@@ -215,6 +191,8 @@ class SimEnvironment {
   Status Dispatch(Deployment& deployment, SimCore& slot, TimePoint arrival);
   // Folds cumulative orchestrator/state-store stats into an epoch report.
   void FinishReport(Deployment& deployment, SimulationReport& report);
+  // Folds the shared store/database fault decorators' injection counters.
+  void AccumulateDecoratorFaults(FaultRecoveryStats& faults) const;
 
   const WorkloadRegistry& registry_;
   SimOptions options_;

@@ -1,10 +1,8 @@
-// SimOptions: the one options surface shared by every simulation driver.
-//
-// Before this header the four drivers and the shared environment each carried
-// a near-duplicate options struct whose fields drifted independently; they
-// now share this one composite. Drivers read the fields they understand and
-// ignore the rest (FunctionSimulation and PlatformSimulation always run one
-// slot per deployment; only FleetSimulation reads `threads` and `eviction`).
+// SimOptions: the one options surface shared by Simulate() and
+// SimEnvironment. Each topology reads the fields it understands and ignores
+// the rest (kPlatform always runs one slot per deployment; only kFleet reads
+// `threads`; a SimEnvironment takes a borrowed EvictionModel instead of
+// `eviction`).
 //
 // The composite groups the knobs the way the kernel consumes them:
 //   - experiment identity:   seed, engine_kind, input_noise
@@ -64,8 +62,8 @@ struct LifecycleOptions {
 // hidden RNG state (geometric) must be per-function — sharing one across
 // shards would both race and couple the shards' draw sequences — so the fleet
 // holds a spec and instantiates one model per deployment from its function
-// seed. Only FleetSimulation consumes this; the other drivers take a borrowed
-// EvictionModel directly.
+// seed. Simulate() instantiates it (per deployment under kFleet); callers
+// driving a SimEnvironment pass a borrowed EvictionModel directly.
 struct FleetEvictionSpec {
   enum class Kind {
     kEveryK = 0,
@@ -150,22 +148,21 @@ struct ServiceModeOptions {
   // Closed-loop simulation clients never saturate a queue long enough to
   // shed, so this too is digest-neutral in sim mode.
   uint32_t shed_deadline_ms = 0;
-  // Borrowed shared service; when null each environment owns a private one.
-  // The fleet driver sets this so all shards talk to a single service.
+  // Borrowed shared service; when null each environment owns a private one
+  // (and a kFleet run builds one for all its shards).
   OrchestratorService* instance = nullptr;
 };
 
 struct SimOptions {
-  // Deterministic experiment seed; multi-deployment drivers derive
+  // Deterministic experiment seed; multi-deployment topologies derive
   // per-deployment sub-seeds from it via SimEnvironment::DeploymentSeed.
   uint64_t seed = 1;
   EngineKind engine_kind = EngineKind::kCriuLike;
   // Client-side input-size perturbation (§5.1), on by default.
   bool input_noise = true;
 
-  // Topology. Single-slot drivers (function, platform) ignore the slot
-  // counts; only the fleet driver reads `threads` (0 = one per hardware
-  // thread) and `eviction`.
+  // Topology. kPlatform ignores the slot counts; only kFleet reads
+  // `threads` (0 = one per hardware thread).
   uint32_t worker_slots = 4;
   uint32_t exploring_slots = 1;
   uint32_t threads = 0;

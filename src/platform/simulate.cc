@@ -1,34 +1,20 @@
 #include "src/platform/simulate.h"
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <utility>
 
-#include "src/platform/cluster_simulation.h"
-#include "src/platform/fleet_simulation.h"
+#include "src/common/thread_pool.h"
 #include "src/platform/report_io.h"
 #include "src/platform/sim_checkpoint.h"
 #include "src/platform/sim_environment.h"
+#include "src/service/orchestrator_service.h"
 
 namespace pronghorn {
 
 namespace {
-
-// Folds one function's report into the merged view. Callers visit functions
-// in canonical (name) order, so the merged latency summary and counters are
-// schedule-independent — the same contract FleetSimulation::Run keeps.
-void FoldFunction(SimReport& out, std::string name, SimulationReport report) {
-  for (const RequestRecord& record : report.records) {
-    out.latency.Add(static_cast<double>(record.latency.ToMicros()));
-    out.latency_hist.Add(static_cast<uint64_t>(record.latency.ToMicros()));
-  }
-  out.worker_lifetimes += report.worker_lifetimes;
-  out.checkpoints += report.checkpoints;
-  out.restores += report.restores;
-  out.cold_starts += report.cold_starts;
-  out.functions_total += 1;
-  out.invocations_total += report.records.size();
-  out.per_function.push_back(SimFunctionResult{std::move(name), std::move(report)});
-}
 
 Status ValidateSpecs(SimTopology topology,
                      std::span<const SimFunctionSpec> functions) {
@@ -60,20 +46,33 @@ Status ValidateSpecs(SimTopology topology,
   return OkStatus();
 }
 
+// One deployment in a private environment whose every substream keys off
+// options.seed: the kSingle run itself, and one kFleet shard (whose options
+// carry the deployment's sub-seed). The policy state and snapshots stay
+// scoped by the profile name — their keys are digest-covered bytes — while
+// the deployment (and so its service binding) goes by the unique spec name.
+Result<SimulationReport> RunIsolated(const WorkloadRegistry& registry,
+                                     const SimFunctionSpec& spec,
+                                     const SimOptions& options) {
+  PRONGHORN_ASSIGN_OR_RETURN(std::unique_ptr<EvictionModel> eviction,
+                             options.eviction.Instantiate(options.seed));
+  SimEnvironment env(registry, options);
+  PRONGHORN_RETURN_IF_ERROR(env.AddDeployment(
+      spec.name, *spec.profile, *spec.policy, *eviction, options.worker_slots,
+      options.exploring_slots, /*sub_seed=*/options.seed, spec.profile->name));
+  PRONGHORN_RETURN_IF_ERROR(env.RunClosedLoop(spec.requests));
+  env.RetireAllWorkers();
+  return env.TakeFlatReport();
+}
+
 Result<SimReport> SimulateSingle(const WorkloadRegistry& registry,
                                  const SimFunctionSpec& spec,
                                  const SimOptions& options) {
-  PRONGHORN_ASSIGN_OR_RETURN(std::unique_ptr<EvictionModel> eviction,
-                             options.eviction.Instantiate(options.seed));
-  // ClusterSimulation with options.worker_slots == 1 IS the historical
-  // FunctionSimulation (same sub-seed, same slot-0 substream).
-  ClusterSimulation cluster(*spec.profile, registry, *spec.policy, *eviction,
-                            options);
   PRONGHORN_ASSIGN_OR_RETURN(SimulationReport flat,
-                             cluster.RunClosedLoop(spec.requests));
+                             RunIsolated(registry, spec, options));
   SimReport out;
   static_cast<ReportCore&>(out) = static_cast<const ReportCore&>(flat);
-  FoldFunction(out, spec.name, std::move(flat));
+  out.AddFunction(spec.name, std::move(flat));
   return out;
 }
 
@@ -85,7 +84,6 @@ Result<SimReport> SimulatePlatform(const WorkloadRegistry& registry,
   SimEnvironment env(registry, options);
   uint64_t total_requests = 0;
   for (const SimFunctionSpec& spec : functions) {
-    // One slot per function, like PlatformSimulation::DeployFunction.
     PRONGHORN_RETURN_IF_ERROR(env.AddDeployment(
         spec.name, *spec.profile, *spec.policy, *eviction, /*worker_slots=*/1,
         /*exploring_slots=*/1,
@@ -94,36 +92,130 @@ Result<SimReport> SimulatePlatform(const WorkloadRegistry& registry,
   }
   PRONGHORN_RETURN_IF_ERROR(env.RunClosedLoop(total_requests));
   env.RetireAllWorkers();
-  EnvironmentReport harvested = env.TakeReport();
-  SimReport out;
-  static_cast<ReportCore&>(out) = static_cast<const ReportCore&>(harvested);
-  // std::map iteration is already canonical (name) order.
-  for (auto& [name, report] : harvested.per_function) {
-    FoldFunction(out, name, std::move(report));
-  }
-  return out;
+  return env.TakeReport();
 }
 
+// kFleet: one isolated environment per deployment, sharded across a thread
+// pool and folded into a StreamingAccumulator the moment each completes.
+//
+// Determinism: every shard's substreams key off (fleet seed, deployment
+// name) — never the thread or shard index — and the fold's digest and
+// aggregates are order-insensitive, so the report is bit-identical at any
+// thread count. Peak memory is O(shards in flight + retained-K), never
+// O(functions x requests).
 Result<SimReport> SimulateFleet(const WorkloadRegistry& registry,
                                 std::span<const SimFunctionSpec> functions,
                                 const SimOptions& options) {
-  FleetSimulation fleet(registry, options);
-  for (const SimFunctionSpec& spec : functions) {
-    FleetFunctionSpec shard;
-    shard.name = spec.name;
-    shard.profile = spec.profile;
-    shard.policy = spec.policy;
-    shard.requests = spec.requests;
-    shard.worker_slots = options.worker_slots;
-    shard.exploring_slots = options.exploring_slots;
-    PRONGHORN_RETURN_IF_ERROR(fleet.AddFunction(std::move(shard)));
+  // Service mode: every shard is a client of one shared live service for the
+  // whole run, bound under its unique deployment name. Each deployment still
+  // evolves independently — its requests are serialized on its service shard
+  // and issued from one client task.
+  SimOptions base_options = options;
+  std::unique_ptr<OrchestratorService> shared_service;
+  if (options.service.enabled && options.service.instance == nullptr) {
+    shared_service = std::make_unique<OrchestratorService>(
+        SimEnvironment::ServiceConfigFor(options));
+    base_options.service.instance = shared_service.get();
   }
-  PRONGHORN_ASSIGN_OR_RETURN(FleetReport merged, fleet.Run());
+
+  StreamingAccumulator accumulator(options.retention);
+
+  // Resume: load the newest valid checkpoint and skip what it covers.
+  const SimCheckpointOptions& ckpt = options.sim_checkpoint;
+  const uint64_t fingerprint =
+      ckpt.enabled() ? ExperimentFingerprint(SimTopology::kFleet, functions, options)
+                     : 0;
+  if (ckpt.enabled() && ckpt.resume) {
+    auto payload =
+        ReadSimCheckpointFile(FleetCheckpointer::FilePath(ckpt.dir), fingerprint);
+    if (payload.ok()) {
+      ByteReader reader(*payload);
+      PRONGHORN_RETURN_IF_ERROR(accumulator.RestoreState(reader));
+      if (!reader.AtEnd()) {
+        return DataLossError("trailing bytes after checkpointed accumulator state");
+      }
+    } else if (payload.status().code() != StatusCode::kNotFound) {
+      // A corrupt or mismatched checkpoint must fail loudly, not silently
+      // restart the experiment from scratch.
+      return payload.status();
+    }
+  }
+  std::optional<FleetCheckpointer> checkpointer;
+  if (ckpt.enabled()) {
+    checkpointer.emplace(ckpt, fingerprint, accumulator);
+  }
+
+  // One task per deployment; the pool's work-stealing balances wildly uneven
+  // shard runtimes. Failures are recorded per deployment and reported
+  // canonically below. Each slot sits on its own cache line so concurrent
+  // shard completions never false-share one.
+  struct alignas(kCacheLineBytes) ShardSlot {
+    std::optional<Status> failure;
+  };
+  std::vector<ShardSlot> slots(functions.size());
+  const auto run_one = [&](size_t i) {
+    const SimFunctionSpec& spec = functions[i];
+    if (accumulator.Contains(spec.name)) {
+      return;  // Covered by the resumed checkpoint.
+    }
+    SimOptions shard_options = base_options;
+    shard_options.seed = SimEnvironment::DeploymentSeed(options.seed, spec.name);
+    Result<SimulationReport> shard = RunIsolated(registry, spec, shard_options);
+    if (!shard.ok()) {
+      slots[i].failure = shard.status();
+      return;
+    }
+    accumulator.Fold(spec.name, *std::move(shard));
+    if (checkpointer.has_value()) {
+      checkpointer->OnFold();
+    }
+  };
+  // --threads is a parallelism cap, not a demand: shards are CPU-bound, so
+  // workers beyond the hardware thread count only add context switches. The
+  // caller-assist ParallelFor makes the calling thread one of the execution
+  // streams, so `workers` counts it.
+  const uint32_t workers = ThreadPool::EffectiveParallelism(options.threads);
+  if (workers <= 1 || functions.size() == 1) {
+    for (size_t i = 0; i < functions.size(); ++i) {
+      run_one(i);
+    }
+  } else {
+    ThreadPoolOptions pool_options;
+    pool_options.threads = workers - 1;  // The calling thread participates.
+    pool_options.pin_threads = options.pin_threads;
+    ThreadPool pool(pool_options);
+    pool.ParallelFor(functions.size(), run_one);
+  }
+
+  // Canonical error report: the first failure in deployment-name order,
+  // whatever order the shards actually failed in.
+  std::vector<size_t> order(functions.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return functions[a].name < functions[b].name;
+  });
+  for (const size_t index : order) {
+    if (slots[index].failure.has_value()) {
+      // Persist progress first: the failed deployment can be retried with
+      // --resume without re-running its finished peers.
+      if (checkpointer.has_value()) {
+        (void)checkpointer->Finish();
+      }
+      return Status(slots[index].failure->code(),
+                    "deployment '" + functions[index].name +
+                        "': " + slots[index].failure->message());
+    }
+  }
+  if (checkpointer.has_value()) {
+    PRONGHORN_RETURN_IF_ERROR(checkpointer->Finish());
+  }
+
+  // Final assembly in canonical (name) order. The aggregates come from the
+  // fold, which saw every function even when the retained bodies were
+  // decimated by a bounded retention mode.
+  StreamingAccumulator::Merged merged = accumulator.Take();
   SimReport out;
-  static_cast<ReportCore&>(out) = static_cast<const ReportCore&>(merged);
-  // Aggregates come from the streaming fold, which saw every function even
-  // when per_function was decimated; FoldFunction's re-summation would
-  // undercount under the bounded modes.
+  static_cast<ReportCore&>(out) = merged.core;
   out.worker_lifetimes = merged.worker_lifetimes;
   out.checkpoints = merged.checkpoints;
   out.restores = merged.restores;
@@ -131,24 +223,23 @@ Result<SimReport> SimulateFleet(const WorkloadRegistry& registry,
   out.retention = merged.retention;
   out.functions_total = merged.functions_total;
   out.invocations_total = merged.invocations_total;
-  out.latency_hist = merged.latency_hist;
-  out.streaming_digest = merged.streaming_digest;
-  out.per_function.reserve(merged.per_function.size());
-  for (FleetFunctionResult& result : merged.per_function) {
+  out.latency_hist = std::move(merged.latency_hist);
+  out.streaming_digest = merged.digest;
+  out.per_function.reserve(merged.retained.size());
+  for (auto& [name, report] : merged.retained) {
     if (merged.retention == ReportRetention::kAll) {
-      for (const RequestRecord& record : result.report.records) {
+      for (const RequestRecord& record : report.records) {
         out.latency.Add(static_cast<double>(record.latency.ToMicros()));
       }
     }
-    out.per_function.push_back(
-        SimFunctionResult{std::move(result.function), std::move(result.report)});
+    out.per_function.push_back(SimFunctionResult{name, std::move(report)});
   }
   return out;
 }
 
 // Whole-run checkpoint payload for kSingle/kPlatform: the retained
 // per-function reports (name order) followed by the shared core. The merged
-// latency views and counters are rebuilt through FoldFunction on restore, so
+// latency views and counters are rebuilt through AddFunction on restore, so
 // they never need a serialization of their own.
 std::vector<uint8_t> EncodeWholeRunPayload(const SimReport& report) {
   ByteWriter writer;
@@ -169,7 +260,7 @@ Result<SimReport> DecodeWholeRunPayload(std::span<const uint8_t> payload) {
     PRONGHORN_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
     PRONGHORN_ASSIGN_OR_RETURN(ClusterReport report,
                                DeserializeClusterReport(reader));
-    FoldFunction(out, std::move(name), std::move(report));
+    out.AddFunction(std::move(name), std::move(report));
   }
   PRONGHORN_RETURN_IF_ERROR(DeserializeReportCore(reader, out));
   if (!reader.AtEnd()) {
@@ -179,61 +270,17 @@ Result<SimReport> DecodeWholeRunPayload(std::span<const uint8_t> payload) {
   return out;
 }
 
-uint64_t WholeRunFingerprint(SimTopology topology,
-                             std::span<const SimFunctionSpec> functions,
-                             const SimOptions& options) {
-  SimFingerprint fingerprint;
-  fingerprint.seed = options.seed;
-  fingerprint.topology = static_cast<uint32_t>(topology);
-  for (const SimFunctionSpec& spec : functions) {
-    fingerprint.AddFunction(spec.name, spec.requests, options.worker_slots,
-                            options.exploring_slots);
-  }
-  fingerprint.AddOptions(options);
-  return fingerprint.value();
-}
-
-}  // namespace
-
-uint32_t SimReport::Digest() const {
-  if (retention != ReportRetention::kAll) {
-    // per_function is decimated; the streaming fold's CRC-combined digest is
-    // the canonical one (identical to what a keep-all run computes).
-    return streaming_digest;
-  }
-  std::vector<NamedReportRef> rows;
-  rows.reserve(per_function.size());
-  for (const SimFunctionResult& result : per_function) {
-    rows.push_back(NamedReportRef{result.function, &result.report});
-  }
-  return ReportDigest(rows, *this);
-}
-
-const SimulationReport* SimReport::Find(std::string_view name) const {
-  for (const SimFunctionResult& result : per_function) {
-    if (result.function == name) {
-      return &result.report;
-    }
-  }
-  return nullptr;
-}
-
-Result<SimReport> Simulate(const WorkloadRegistry& registry, SimTopology topology,
-                           std::span<const SimFunctionSpec> functions,
-                           const SimOptions& options, ObsSink* obs) {
-  PRONGHORN_RETURN_IF_ERROR(ValidateSpecs(topology, functions));
-  SimOptions effective = options;
-  if (obs != nullptr) {
-    effective.obs = obs;
-  }
-
-  // Whole-run checkpointing for the single-environment topologies (kFleet
-  // checkpoints incrementally inside FleetSimulation::Run).
-  const SimCheckpointOptions& ckpt = effective.sim_checkpoint;
-  const bool whole_run_ckpt = ckpt.enabled() && topology != SimTopology::kFleet;
+// kSingle/kPlatform under whole-run checkpointing: a finished run is served
+// from the stored frame; otherwise the run goes ahead and its report is
+// written when it completes.
+Result<SimReport> SimulateWholeRun(const WorkloadRegistry& registry,
+                                   SimTopology topology,
+                                   std::span<const SimFunctionSpec> functions,
+                                   const SimOptions& options) {
+  const SimCheckpointOptions& ckpt = options.sim_checkpoint;
   uint64_t fingerprint = 0;
-  if (whole_run_ckpt) {
-    fingerprint = WholeRunFingerprint(topology, functions, effective);
+  if (ckpt.enabled()) {
+    fingerprint = ExperimentFingerprint(topology, functions, options);
     if (ckpt.resume) {
       auto payload =
           ReadSimCheckpointFile(WholeRunCheckpointPath(ckpt.dir), fingerprint);
@@ -247,31 +294,51 @@ Result<SimReport> Simulate(const WorkloadRegistry& registry, SimTopology topolog
       }
     }
   }
-
-  Result<SimReport> report = [&]() -> Result<SimReport> {
-    switch (topology) {
-      case SimTopology::kSingle:
-        return SimulateSingle(registry, functions.front(), effective);
-      case SimTopology::kPlatform:
-        return SimulatePlatform(registry, functions, effective);
-      case SimTopology::kFleet:
-        return SimulateFleet(registry, functions, effective);
-    }
-    return InvalidArgumentError("unknown topology");
-  }();
+  Result<SimReport> report = topology == SimTopology::kSingle
+                                 ? SimulateSingle(registry, functions.front(), options)
+                                 : SimulatePlatform(registry, functions, options);
   if (!report.ok()) {
     return report;
   }
-  if (report->retention == ReportRetention::kAll) {
-    report->streaming_digest = report->Digest();
-  }
-  if (whole_run_ckpt) {
+  report->streaming_digest = report->Digest();
+  if (ckpt.enabled()) {
     PRONGHORN_RETURN_IF_ERROR(
         WriteSimCheckpointFile(WholeRunCheckpointPath(ckpt.dir), fingerprint,
                                /*progress=*/report->functions_total,
                                EncodeWholeRunPayload(*report)));
   }
-  if (effective.obs != nullptr) {
+  return report;
+}
+
+}  // namespace
+
+uint64_t ExperimentFingerprint(SimTopology topology,
+                               std::span<const SimFunctionSpec> functions,
+                               const SimOptions& options) {
+  SimFingerprint fingerprint;
+  fingerprint.seed = options.seed;
+  fingerprint.topology = static_cast<uint32_t>(topology);
+  for (const SimFunctionSpec& spec : functions) {
+    fingerprint.AddFunction(spec.name, spec.requests, options.worker_slots,
+                            options.exploring_slots);
+  }
+  fingerprint.AddOptions(options);
+  return fingerprint.value();
+}
+
+Result<SimReport> Simulate(const WorkloadRegistry& registry, SimTopology topology,
+                           std::span<const SimFunctionSpec> functions,
+                           const SimOptions& options, ObsSink* obs) {
+  PRONGHORN_RETURN_IF_ERROR(ValidateSpecs(topology, functions));
+  SimOptions effective = options;
+  if (obs != nullptr) {
+    effective.obs = obs;
+  }
+  Result<SimReport> report =
+      topology == SimTopology::kFleet
+          ? SimulateFleet(registry, functions, effective)
+          : SimulateWholeRun(registry, topology, functions, effective);
+  if (report.ok() && effective.obs != nullptr) {
     report->metrics = effective.obs->SnapshotMetrics();
     report->trace = effective.obs->trace_recorder();
   }

@@ -1,31 +1,31 @@
-// The unified simulation entry point: one call shape for every driver.
+// Simulate(): the one-shot simulation entry point for every topology.
 //
-// The four driver classes (FunctionSimulation / ClusterSimulation /
-// PlatformSimulation / FleetSimulation) grew four different Run* signatures
-// for what is one operation: configure deployments, run the closed loop,
-// harvest a report. Simulate() is that operation as a free function — pick a
-// topology, list the functions, pass one SimOptions (optionally with an
-// ObsSink), get one SimReport. The driver classes remain as thin wrappers
-// for callers that need incremental control (repeated runs on persistent
-// state, trace replay); Simulate() is the preferred surface for one-shot
-// experiments and is what pronghorn_sim / pronghorn_eval call.
+// Pick a topology, list the functions, pass one SimOptions (optionally with
+// an ObsSink), get one SimReport:
 //
-// Equivalence contract (covered by tests/driver_equivalence_test.cc): for
-// the same options and functions, Simulate() produces byte-identical digests
-// to the corresponding driver class — kSingle matches
-// Function/ClusterSimulation (sub-seed = options.seed), kPlatform matches
-// PlatformSimulation, kFleet matches FleetSimulation — with or without an
-// observability sink attached.
+//   kSingle   — one deployment, options.worker_slots slots (§5.1 runs and
+//               the §5.3 explore/exploit split within one function).
+//   kPlatform — many deployments on one shared control plane (§3.2).
+//   kFleet    — many deployments, each in its own environment, sharded
+//               across options.threads and folded canonically (§5.3 fleet
+//               amortization).
+//
+// Each topology is a configuration of SimEnvironment (sim_environment.h).
+// Callers that need incremental control — repeated runs on persistent
+// learned state, trace replay, a borrowed EvictionModel, or the engine and
+// store accessors — drive a SimEnvironment directly instead.
+//
+// Golden contract (tests/driver_equivalence_test.cc): every topology
+// reproduces the digests pinned for it bit-for-bit, at any thread count and
+// with or without an observability sink attached.
 
 #ifndef PRONGHORN_SRC_PLATFORM_SIMULATE_H_
 #define PRONGHORN_SRC_PLATFORM_SIMULATE_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/sink.h"
 #include "src/platform/metrics.h"
 #include "src/platform/sim_options.h"
@@ -36,85 +36,31 @@ namespace pronghorn {
 // How the deployments share infrastructure.
 enum class SimTopology {
   // One deployment, one control plane, options.worker_slots slots. The RNG
-  // sub-seed is options.seed itself, so a kSingle run replays the historical
-  // FunctionSimulation (one slot) / ClusterSimulation (many) bit-for-bit.
+  // sub-seed is options.seed itself.
   kSingle,
   // Many deployments on ONE shared control plane (global Database + Object
   // Store), one worker slot each, closed loop across all of them; request
-  // counts sum into the environment-wide total. Matches PlatformSimulation.
+  // counts sum into the environment-wide total. Sub-seeds come from
+  // SimEnvironment::DeploymentSeed(options.seed, name).
   kPlatform,
-  // Many deployments, each its own isolated environment, sharded across
-  // options.threads workers and merged canonically. Per-deployment request
-  // counts. Matches FleetSimulation.
+  // Many deployments, each its own isolated environment seeded with
+  // DeploymentSeed(options.seed, name), sharded across options.threads
+  // workers and merged canonically. Per-deployment request counts.
   kFleet,
 };
 
 // One function deployment in a Simulate() run. `profile` and `policy` are
-// borrowed and must outlive the call.
+// borrowed and must outlive the call. The policy must be stateless per call
+// (true of every policy in src/core except a live StopConditionPolicy's
+// request counter): kFleet shards share it across threads.
 struct SimFunctionSpec {
-  std::string name;  // Unique; keys the RNG substream in multi-function runs.
+  // Unique; keys the RNG substream in multi-function runs, the report row,
+  // and the service binding. kSingle/kFleet scope the policy state and
+  // snapshots by profile->name; kPlatform scopes them by this name.
+  std::string name;
   const WorkloadProfile* profile = nullptr;
   const OrchestrationPolicy* policy = nullptr;
   uint64_t requests = 500;
-};
-
-struct SimFunctionResult {
-  std::string function;
-  SimulationReport report;
-};
-
-// The one report every topology produces: per-function reports in canonical
-// (name) order, merged latency and lifecycle counters, the environment-wide
-// store/fault accounting (ReportCore), and — when a sink was attached — the
-// harvested metrics snapshot and a borrowed trace handle.
-struct SimReport : ReportCore {
-  std::vector<SimFunctionResult> per_function;  // Sorted by function name.
-
-  // Every request latency across all functions, merged in canonical order.
-  DistributionSummary latency;
-
-  uint64_t worker_lifetimes = 0;
-  uint64_t checkpoints = 0;
-  uint64_t restores = 0;
-  uint64_t cold_starts = 0;
-
-  // How much per-function detail this report retains (always kAll for
-  // kSingle/kPlatform; the fleet topology honors options.retention), and the
-  // totals over ALL simulated functions — which per_function.size() and
-  // `latency` understate under the bounded fleet modes.
-  ReportRetention retention = ReportRetention::kAll;
-  uint64_t functions_total = 0;
-  uint64_t invocations_total = 0;
-
-  // Exact-merge latency histogram over every request of every function,
-  // complete in all retention modes (unlike `latency`, which needs the full
-  // per-function record bodies).
-  LatencyHistogram latency_hist;
-
-  // The canonical digest as maintained by the streaming fold — equal to
-  // ReportDigest over ALL simulated functions even when per_function was
-  // decimated by a bounded retention mode.
-  uint32_t streaming_digest = 0;
-
-  // Counters / gauges / histograms harvested from the sink at the end of the
-  // run; empty when no sink was attached (or the sink keeps no metrics).
-  MetricsSnapshot metrics;
-  // The sink's trace recorder, borrowed — valid while the sink outlives the
-  // report; nullptr when tracing was off. Never feeds Digest().
-  const TraceRecorder* trace = nullptr;
-
-  // CRC32 over the canonical serialization (report_io::ReportDigest): the
-  // same layout as PlatformReport::Digest() and FleetReport::Digest(), so
-  // old- and new-surface runs of one experiment hash identically.
-  // Observability data (metrics, trace) is excluded by construction.
-  uint32_t Digest() const;
-
-  // Per-function lookup; nullptr when `name` is not in the run.
-  const SimulationReport* Find(std::string_view name) const;
-
-  // Single-function flattened view (kSingle parity with TakeFlatReport).
-  // Requires at least one function.
-  const SimulationReport& flat() const { return per_function.front().report; }
 };
 
 // Runs one closed-loop experiment: instantiates the eviction model from
@@ -122,21 +68,30 @@ struct SimReport : ReportCore {
 // loop, and harvests one SimReport. `obs`, when non-null, overrides
 // options.obs for this run (the `Simulate(options, sink)` call shape);
 // passing nullptr uses options.obs, which may itself be null (observability
-// fully disabled — the zero-cost path).
+// fully disabled — the zero-cost path). In service mode kFleet shares one
+// service across its shards: options.service.instance when the caller owns
+// it, otherwise one built for the run.
 //
 // When options.sim_checkpoint is enabled, the run writes crash-consistent
-// checkpoints keyed by the experiment fingerprint and, with resume set,
+// checkpoints keyed by ExperimentFingerprint and, with resume set,
 // continues from them, reproducing the uninterrupted digest bit-for-bit.
 // kFleet checkpoints at completed-deployment granularity (only unfinished
 // deployments re-run); kSingle/kPlatform checkpoint at whole-run granularity
 // — every deployment's trajectory is a pure function of (seed, name), so a
 // mid-run kill deterministically re-runs to the same report, and a finished
 // run is served straight from the stored frame. Observability state
-// (metrics/trace) is not checkpointed; a resumed-from-file run reports an
-// empty metrics snapshot.
+// (metrics/trace) is not checkpointed: a resumed run's metrics cover only the
+// work it actually re-ran.
 Result<SimReport> Simulate(const WorkloadRegistry& registry, SimTopology topology,
                            std::span<const SimFunctionSpec> functions,
                            const SimOptions& options, ObsSink* obs = nullptr);
+
+// The identity a run's checkpoints are keyed by: seed, topology, the
+// digest-relevant options, and the (name, requests, slots) of every function,
+// order-insensitively. Thread count and other scheduling knobs are excluded.
+uint64_t ExperimentFingerprint(SimTopology topology,
+                               std::span<const SimFunctionSpec> functions,
+                               const SimOptions& options);
 
 }  // namespace pronghorn
 

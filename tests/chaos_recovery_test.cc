@@ -15,7 +15,7 @@
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
 #include "src/platform/eviction.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/simulate.h"
 #include "src/store/fault_injection.h"
 #include "src/store/kv_database.h"
 #include "src/store/object_store.h"
@@ -293,9 +293,6 @@ TEST(ChaosRecoveryTest, PolicyConvergesUnderTenPercentFaultRate) {
   config.retain_random_percent = 10.0;
   const auto policy = RequestCentricPolicy::Create(config);
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-
   SimOptions options;
   options.seed = 42;
   options.faults.get_failure_rate = 0.10;
@@ -303,10 +300,18 @@ TEST(ChaosRecoveryTest, PolicyConvergesUnderTenPercentFaultRate) {
   options.faults.delete_failure_rate = 0.10;
   options.faults.metadata_failure_rate = 0.10;
   options.faults.corruption_rate = 0.02;
-  FunctionSimulation sim(profile, WorkloadRegistry::Default(), *policy, **eviction,
-                         options);
-  auto report = sim.RunClosedLoop(600);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  options.worker_slots = 1;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = 4;
+  SimFunctionSpec spec;
+  spec.name = profile.name;
+  spec.profile = &profile;
+  spec.policy = &*policy;
+  spec.requests = 600;
+  auto run = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                      std::span<const SimFunctionSpec>(&spec, 1), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const SimulationReport* report = &run->flat();
 
   // Faults actually fired, and the recovery machinery absorbed them.
   EXPECT_GT(report->faults.store_faults + report->faults.db_faults, 0u);

@@ -1,8 +1,16 @@
-#include "src/platform/cluster_simulation.h"
+// Multi-slot single-function runs (§5.3 amortization): Simulate(kSingle)
+// with options.worker_slots slots, of which the first exploring_slots
+// explore and the rest exploit a shared snapshot pool. Every configuration's
+// flattened report is pinned to a golden CRC (ClusterReportCrc32).
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/request_centric_policy.h"
+#include "src/platform/report_io.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -21,151 +29,125 @@ PolicyConfig TestConfig() {
   return config;
 }
 
-TEST(ClusterSimulationTest, ServesAllRequestsAcrossSlots) {
+SimOptions ClusterOptions(uint32_t slots, uint32_t exploring, uint64_t seed) {
+  SimOptions options;
+  options.worker_slots = slots;
+  options.exploring_slots = exploring;
+  options.seed = seed;
+  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+  options.eviction.k = 4;
+  return options;
+}
+
+ClusterReport RunCluster(const char* profile, const OrchestrationPolicy& policy,
+                         const SimOptions& options, uint64_t requests) {
+  SimFunctionSpec spec;
+  spec.name = profile;
+  spec.profile = &Profile(profile);
+  spec.policy = &policy;
+  spec.requests = requests;
+  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                         std::span<const SimFunctionSpec>(&spec, 1), options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report->per_function.front().report : ClusterReport{};
+}
+
+TEST(MultiSlotFunctionTest, ServesAllRequestsAcrossSlots) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  SimOptions options;
-  options.worker_slots = 4;
-  options.exploring_slots = 1;
-  options.seed = 2;
-  ClusterSimulation cluster(Profile("DynamicHTML"), WorkloadRegistry::Default(),
-                            *policy, **eviction, options);
-  auto report = cluster.RunClosedLoop(400);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->records.size(), 400u);
+  const ClusterReport report =
+      RunCluster("DynamicHTML", *policy, ClusterOptions(4, 1, 2), 400);
+  EXPECT_EQ(ClusterReportCrc32(report), 0xf7145330u);
+  EXPECT_EQ(report.records.size(), 400u);
   // With 4 balanced slots, both roles served requests.
-  EXPECT_GT(report->exploring_latency.count(), 0u);
-  EXPECT_GT(report->exploiting_latency.count(), 0u);
-  EXPECT_EQ(report->exploring_latency.count() + report->exploiting_latency.count(),
-            400u);
+  EXPECT_GT(report.exploring_latency.count(), 0u);
+  EXPECT_GT(report.exploiting_latency.count(), 0u);
+  EXPECT_EQ(report.exploring_latency.count() + report.exploiting_latency.count(), 400u);
 }
 
-TEST(ClusterSimulationTest, OnlyExploringSlotsCheckpoint) {
+TEST(MultiSlotFunctionTest, OnlyExploringSlotsCheckpoint) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-
-  SimOptions options;
-  options.worker_slots = 4;
-  options.exploring_slots = 0;  // Nobody explores: no snapshots ever.
-  options.seed = 3;
-  ClusterSimulation cluster(Profile("DynamicHTML"), WorkloadRegistry::Default(),
-                            *policy, **eviction, options);
-  auto report = cluster.RunClosedLoop(200);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->checkpoints, 0u);
-  EXPECT_EQ(report->restores, 0u);  // Empty pool: all cold starts.
+  // Nobody explores: no snapshots ever.
+  const ClusterReport report =
+      RunCluster("DynamicHTML", *policy, ClusterOptions(4, 0, 3), 200);
+  EXPECT_EQ(ClusterReportCrc32(report), 0xe80c14dcu);
+  EXPECT_EQ(report.checkpoints, 0u);
+  EXPECT_EQ(report.restores, 0u);  // Empty pool: all cold starts.
 }
 
-TEST(ClusterSimulationTest, ExploitersBenefitFromSharedPool) {
+TEST(MultiSlotFunctionTest, ExploitersBenefitFromSharedPool) {
   // §5.3: non-exploring workers restore from the snapshots the exploring
-  // subset publishes through the shared Database/Object Store.
+  // subset publishes through the shared Database/Object Store. A
+  // SimEnvironment runs the same configuration and keeps the Database
+  // around to inspect.
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
   auto eviction = EveryKRequestsEviction::Create(4);
   ASSERT_TRUE(eviction.ok());
+  const SimOptions options = ClusterOptions(4, 1, 4);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
+  ASSERT_TRUE(env.AddDeployment("BFS", Profile("BFS"), *policy, **eviction,
+                                options.worker_slots, options.exploring_slots,
+                                options.seed)
+                  .ok());
+  ASSERT_TRUE(env.RunClosedLoop(600).ok());
+  env.RetireAllWorkers();
+  const ClusterReport report = env.TakeFlatReport();
+  EXPECT_EQ(ClusterReportCrc32(report), 0x5e82eb51u);
+  EXPECT_EQ(ClusterReportCrc32(RunCluster("BFS", *policy, options, 600)), 0x5e82eb51u);
+  EXPECT_GT(report.checkpoints, 0u);
+  EXPECT_GT(report.restores, 0u);
 
-  SimOptions options;
-  options.worker_slots = 4;
-  options.exploring_slots = 1;
-  options.seed = 4;
-  ClusterSimulation cluster(Profile("BFS"), WorkloadRegistry::Default(), *policy,
-                            **eviction, options);
-  auto report = cluster.RunClosedLoop(600);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->checkpoints, 0u);
-  EXPECT_GT(report->restores, 0u);
-
-  // Exploit slots restored snapshots they never created: restores far exceed
-  // what one exploring slot's lifetimes could account for.
-  auto state = cluster.LoadPolicyState();
+  // Exploit slots restored snapshots they never created.
+  auto state = env.LoadPolicyState(0);
   ASSERT_TRUE(state.ok());
   EXPECT_FALSE(state->pool.empty());
 
   // Exploiters' later requests run at elevated JIT maturity.
   uint64_t late_maturity = 0;
   uint64_t late_count = 0;
-  for (size_t i = report->records.size() - 100; i < report->records.size(); ++i) {
-    late_maturity += report->records[i].request_number;
+  for (size_t i = report.records.size() - 100; i < report.records.size(); ++i) {
+    late_maturity += report.records[i].request_number;
     ++late_count;
   }
   EXPECT_GT(late_maturity / late_count, 10u);
 }
 
-TEST(ClusterSimulationTest, AmortizationReducesCheckpointCount) {
+TEST(MultiSlotFunctionTest, AmortizationReducesCheckpointCount) {
   // More exploit slots => fewer checkpoints for similar served volume.
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-
-  uint64_t checkpoints_all_exploring = 0;
-  uint64_t checkpoints_one_exploring = 0;
-  for (uint32_t exploring : {4u, 1u}) {
-    SimOptions options;
-    options.worker_slots = 4;
-    options.exploring_slots = exploring;
-    options.seed = 5;
-    ClusterSimulation cluster(Profile("MST"), WorkloadRegistry::Default(), *policy,
-                              **eviction, options);
-    auto report = cluster.RunClosedLoop(400);
-    ASSERT_TRUE(report.ok());
-    if (exploring == 4) {
-      checkpoints_all_exploring = report->checkpoints;
-    } else {
-      checkpoints_one_exploring = report->checkpoints;
-    }
-  }
-  EXPECT_LT(checkpoints_one_exploring, checkpoints_all_exploring / 2);
-  EXPECT_GT(checkpoints_one_exploring, 0u);
+  const ClusterReport all_exploring =
+      RunCluster("MST", *policy, ClusterOptions(4, 4, 5), 400);
+  const ClusterReport one_exploring =
+      RunCluster("MST", *policy, ClusterOptions(4, 1, 5), 400);
+  EXPECT_EQ(ClusterReportCrc32(all_exploring), 0xe8b72f57u);
+  EXPECT_EQ(ClusterReportCrc32(one_exploring), 0xfc1048d8u);
+  EXPECT_LT(one_exploring.checkpoints, all_exploring.checkpoints / 2);
+  EXPECT_GT(one_exploring.checkpoints, 0u);
 }
 
-TEST(ClusterSimulationTest, DeterministicForSeed) {
+TEST(MultiSlotFunctionTest, DeterministicForSeed) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  SimOptions options;
-  options.worker_slots = 3;
-  options.exploring_slots = 2;
-  options.seed = 6;
-
-  std::vector<int64_t> first_run;
-  for (int run = 0; run < 2; ++run) {
-    ClusterSimulation cluster(Profile("Hash"), WorkloadRegistry::Default(), *policy,
-                              **eviction, options);
-    auto report = cluster.RunClosedLoop(150);
-    ASSERT_TRUE(report.ok());
-    if (run == 0) {
-      for (const RequestRecord& record : report->records) {
-        first_run.push_back(record.latency.ToMicros());
-      }
-    } else {
-      ASSERT_EQ(report->records.size(), first_run.size());
-      for (size_t i = 0; i < first_run.size(); ++i) {
-        EXPECT_EQ(report->records[i].latency.ToMicros(), first_run[i]) << i;
-      }
-    }
+  const SimOptions options = ClusterOptions(3, 2, 6);
+  const ClusterReport first = RunCluster("Hash", *policy, options, 150);
+  const ClusterReport second = RunCluster("Hash", *policy, options, 150);
+  EXPECT_EQ(ClusterReportCrc32(first), 0x41b52dcbu);
+  ASSERT_EQ(second.records.size(), first.records.size());
+  for (size_t i = 0; i < first.records.size(); ++i) {
+    EXPECT_EQ(second.records[i].latency.ToMicros(), first.records[i].latency.ToMicros())
+        << i;
   }
 }
 
-TEST(ClusterSimulationTest, ExploringSlotsClampedToWorkerSlots) {
+TEST(MultiSlotFunctionTest, ExploringSlotsClampedToWorkerSlots) {
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  SimOptions options;
-  options.worker_slots = 2;
-  options.exploring_slots = 99;
-  options.seed = 7;
-  ClusterSimulation cluster(Profile("DFS"), WorkloadRegistry::Default(), *policy,
-                            **eviction, options);
-  auto report = cluster.RunClosedLoop(50);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->exploiting_latency.count(), 0u);  // Everyone explores.
+  const ClusterReport report = RunCluster("DFS", *policy, ClusterOptions(2, 99, 7), 50);
+  EXPECT_EQ(ClusterReportCrc32(report), 0xf01d771du);
+  EXPECT_EQ(report.exploiting_latency.count(), 0u);  // Everyone explores.
 }
 
 }  // namespace

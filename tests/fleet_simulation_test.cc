@@ -1,19 +1,20 @@
-// Golden determinism tests for the sharded fleet simulation: the merged
-// fleet report must be bit-identical whatever the thread count and whatever
-// order deployments were registered or shards finished in. Bitwise equality
-// is asserted via CRC32 over the canonical ClusterReport serialization.
-
-#include "src/platform/fleet_simulation.h"
+// Golden determinism tests for the sharded fleet topology, Simulate(kFleet):
+// the merged report must be bit-identical whatever the thread count and
+// whatever order deployments were listed or shards finished in, and equal to
+// the digests pinned for these configurations. Bitwise equality is asserted
+// via CRC32 over the canonical serialization.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/core/request_centric_policy.h"
 #include "src/platform/report_io.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -21,6 +22,11 @@ namespace {
 constexpr uint64_t kSeed = 42;
 constexpr size_t kFunctions = 6;
 constexpr uint64_t kRequestsPerFunction = 120;
+
+// Pinned digests of MustRun's healthy / geometric-eviction / chaos fleets.
+constexpr uint32_t kFleetDigest = 0xab182c77u;
+constexpr uint32_t kGeometricDigest = 0x9e7af135u;
+constexpr uint32_t kFaultsDigest = 0xfbcc807bu;
 
 PolicyConfig SmallConfig() {
   PolicyConfig config;
@@ -45,46 +51,50 @@ std::vector<const WorkloadProfile*> TestProfiles() {
   return profiles;
 }
 
-FleetReport MustRun(const OrchestrationPolicy& policy, uint32_t threads,
-                    bool reverse_registration = false,
-                    FleetEvictionSpec eviction = FleetEvictionSpec{},
-                    FaultPlan faults = FaultPlan{}) {
-  SimOptions options;
-  options.seed = kSeed;
-  options.threads = threads;
-  options.eviction = eviction;
-  options.faults = faults;
-  FleetSimulation fleet(WorkloadRegistry::Default(), options);
-
+std::vector<SimFunctionSpec> TestSpecs(const OrchestrationPolicy& policy,
+                                       bool reverse_order = false) {
   const auto profiles = TestProfiles();
-  std::vector<size_t> order(profiles.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = reverse_registration ? order.size() - 1 - i : i;
-  }
-  for (const size_t i : order) {
-    FleetFunctionSpec spec;
+  std::vector<SimFunctionSpec> specs;
+  for (size_t n = 0; n < profiles.size(); ++n) {
+    const size_t i = reverse_order ? profiles.size() - 1 - n : n;
+    SimFunctionSpec spec;
     spec.name = "fn" + std::to_string(i) + "-" + profiles[i]->name;
     spec.profile = profiles[i];
     spec.policy = &policy;
     spec.requests = kRequestsPerFunction;
-    spec.worker_slots = 3;
-    spec.exploring_slots = 1;
-    EXPECT_TRUE(fleet.AddFunction(std::move(spec)).ok());
+    specs.push_back(std::move(spec));
   }
-  auto report = fleet.Run();
+  return specs;
+}
+
+SimReport MustRun(const OrchestrationPolicy& policy, uint32_t threads,
+                  bool reverse_order = false,
+                  FleetEvictionSpec eviction = FleetEvictionSpec{},
+                  FaultPlan faults = FaultPlan{}) {
+  SimOptions options;
+  options.seed = kSeed;
+  options.threads = threads;
+  options.worker_slots = 3;
+  options.exploring_slots = 1;
+  options.eviction = eviction;
+  options.faults = faults;
+  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
+                         TestSpecs(policy, reverse_order), options);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return *std::move(report);
 }
 
-TEST(FleetSimulationTest, MergedReportBitIdenticalAcrossThreadCounts) {
+TEST(FleetTopologyTest, MergedReportBitIdenticalAcrossThreadCounts) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport one = MustRun(policy, 1);
-  const FleetReport two = MustRun(policy, 2);
-  const FleetReport eight = MustRun(policy, 8);
+  const SimReport one = MustRun(policy, 1);
+  const SimReport two = MustRun(policy, 2);
+  const SimReport eight = MustRun(policy, 8);
 
-  // The headline guarantee: one CRC32 over every serialized ClusterReport.
-  EXPECT_EQ(one.Digest(), two.Digest());
-  EXPECT_EQ(one.Digest(), eight.Digest());
+  // The headline guarantee: one CRC32 over every serialized report.
+  EXPECT_EQ(one.Digest(), kFleetDigest);
+  EXPECT_EQ(two.Digest(), kFleetDigest);
+  EXPECT_EQ(eight.Digest(), kFleetDigest);
+  EXPECT_EQ(one.streaming_digest, kFleetDigest);
 
   // And the per-function summaries behind it, function by function.
   ASSERT_EQ(one.per_function.size(), kFunctions);
@@ -101,22 +111,21 @@ TEST(FleetSimulationTest, MergedReportBitIdenticalAcrossThreadCounts) {
   }
 
   // Fleet-level aggregates are derived from the same bytes.
-  EXPECT_EQ(one.fleet_latency.count(), eight.fleet_latency.count());
-  EXPECT_EQ(one.fleet_latency.Quantile(50), eight.fleet_latency.Quantile(50));
+  EXPECT_EQ(one.latency.count(), eight.latency.count());
+  EXPECT_EQ(one.latency.Quantile(50), eight.latency.Quantile(50));
   EXPECT_EQ(one.checkpoints, eight.checkpoints);
   EXPECT_EQ(one.database.reads, eight.database.reads);
   EXPECT_EQ(one.object_store.network_bytes_uploaded,
             eight.object_store.network_bytes_uploaded);
 }
 
-TEST(FleetSimulationTest, RegistrationOrderDoesNotChangeTheMergedReport) {
+TEST(FleetTopologyTest, RegistrationOrderDoesNotChangeTheMergedReport) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport forward = MustRun(policy, 4, /*reverse_registration=*/false);
-  const FleetReport reversed = MustRun(policy, 4, /*reverse_registration=*/true);
-  EXPECT_EQ(forward.Digest(), reversed.Digest());
+  EXPECT_EQ(MustRun(policy, 4, /*reverse_order=*/false).Digest(), kFleetDigest);
+  EXPECT_EQ(MustRun(policy, 4, /*reverse_order=*/true).Digest(), kFleetDigest);
 }
 
-TEST(FleetSimulationTest, GeometricEvictionStaysDeterministicAcrossThreads) {
+TEST(FleetTopologyTest, GeometricEvictionStaysDeterministicAcrossThreads) {
   // Geometric eviction draws from hidden RNG state; the fleet instantiates
   // one model per function from the function seed, so thread scheduling must
   // not leak into the draw sequences.
@@ -124,12 +133,11 @@ TEST(FleetSimulationTest, GeometricEvictionStaysDeterministicAcrossThreads) {
   FleetEvictionSpec eviction;
   eviction.kind = FleetEvictionSpec::Kind::kGeometric;
   eviction.mean_requests = 4.0;
-  const FleetReport one = MustRun(policy, 1, false, eviction);
-  const FleetReport four = MustRun(policy, 4, false, eviction);
-  EXPECT_EQ(one.Digest(), four.Digest());
+  EXPECT_EQ(MustRun(policy, 1, false, eviction).Digest(), kGeometricDigest);
+  EXPECT_EQ(MustRun(policy, 4, false, eviction).Digest(), kGeometricDigest);
 }
 
-TEST(FleetSimulationTest, FaultPlanStaysBitIdenticalAcrossThreadCounts) {
+TEST(FleetTopologyTest, FaultPlanStaysBitIdenticalAcrossThreadCounts) {
   // The chaos layer must not break the fleet's determinism guarantee: fault
   // draws come from per-function scoped seeds and backoff jitter from the
   // per-orchestrator Rng, so thread scheduling cannot leak into them. The
@@ -142,25 +150,26 @@ TEST(FleetSimulationTest, FaultPlanStaysBitIdenticalAcrossThreadCounts) {
   faults.delete_failure_rate = 0.10;
   faults.metadata_failure_rate = 0.10;
   faults.corruption_rate = 0.02;
-  const FleetReport one = MustRun(policy, 1, false, FleetEvictionSpec{}, faults);
-  const FleetReport two = MustRun(policy, 2, false, FleetEvictionSpec{}, faults);
-  const FleetReport eight = MustRun(policy, 8, false, FleetEvictionSpec{}, faults);
+  const SimReport one = MustRun(policy, 1, false, FleetEvictionSpec{}, faults);
+  const SimReport two = MustRun(policy, 2, false, FleetEvictionSpec{}, faults);
+  const SimReport eight = MustRun(policy, 8, false, FleetEvictionSpec{}, faults);
 
   // Faults really fired (otherwise this test is vacuous)...
   EXPECT_GT(one.faults.store_faults + one.faults.db_faults, 0u);
   // ...and the merged report is byte-identical whatever the thread count.
-  EXPECT_EQ(one.Digest(), two.Digest());
-  EXPECT_EQ(one.Digest(), eight.Digest());
+  EXPECT_EQ(one.Digest(), kFaultsDigest);
+  EXPECT_EQ(two.Digest(), kFaultsDigest);
+  EXPECT_EQ(eight.Digest(), kFaultsDigest);
 
   // A fault plan must also change behavior relative to the healthy fleet.
-  const FleetReport healthy = MustRun(policy, 2);
+  const SimReport healthy = MustRun(policy, 2);
   EXPECT_NE(one.Digest(), healthy.Digest());
   EXPECT_EQ(healthy.faults.store_faults + healthy.faults.db_faults, 0u);
 }
 
-TEST(FleetSimulationTest, FleetCountersAreSumsOfPerFunctionCounters) {
+TEST(FleetTopologyTest, FleetCountersAreSumsOfPerFunctionCounters) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport report = MustRun(policy, 2);
+  const SimReport report = MustRun(policy, 2);
   uint64_t lifetimes = 0, checkpoints = 0, restores = 0, cold = 0, records = 0;
   uint64_t kv_reads = 0;
   for (const auto& [name, cluster] : report.per_function) {
@@ -175,14 +184,17 @@ TEST(FleetSimulationTest, FleetCountersAreSumsOfPerFunctionCounters) {
   EXPECT_EQ(report.checkpoints, checkpoints);
   EXPECT_EQ(report.restores, restores);
   EXPECT_EQ(report.cold_starts, cold);
-  EXPECT_EQ(report.fleet_latency.count(), records);
-  EXPECT_EQ(report.fleet_latency.count(), kFunctions * kRequestsPerFunction);
+  EXPECT_EQ(report.latency.count(), records);
+  EXPECT_EQ(report.latency.count(), kFunctions * kRequestsPerFunction);
+  EXPECT_EQ(report.latency_hist.count(), records);
+  EXPECT_EQ(report.functions_total, kFunctions);
+  EXPECT_EQ(report.invocations_total, records);
   EXPECT_EQ(report.database.reads, kv_reads);
 }
 
-TEST(FleetSimulationTest, PerFunctionResultsSortedByNameAndFindable) {
+TEST(FleetTopologyTest, PerFunctionResultsSortedByNameAndFindable) {
   const RequestCentricPolicy policy = MakePolicy();
-  const FleetReport report = MustRun(policy, 2);
+  const SimReport report = MustRun(policy, 2, /*reverse_order=*/true);
   ASSERT_EQ(report.per_function.size(), kFunctions);
   EXPECT_TRUE(std::is_sorted(
       report.per_function.begin(), report.per_function.end(),
@@ -194,64 +206,65 @@ TEST(FleetSimulationTest, PerFunctionResultsSortedByNameAndFindable) {
   EXPECT_EQ(report.Find("no-such-deployment"), nullptr);
 }
 
-TEST(FleetSimulationTest, FunctionSeedDependsOnSeedAndNameOnly) {
-  EXPECT_EQ(FleetSimulation::FunctionSeed(1, "alpha"),
-            FleetSimulation::FunctionSeed(1, "alpha"));
-  EXPECT_NE(FleetSimulation::FunctionSeed(1, "alpha"),
-            FleetSimulation::FunctionSeed(1, "beta"));
-  EXPECT_NE(FleetSimulation::FunctionSeed(1, "alpha"),
-            FleetSimulation::FunctionSeed(2, "alpha"));
+TEST(FleetTopologyTest, DeploymentSeedDependsOnSeedAndNameOnly) {
+  EXPECT_EQ(SimEnvironment::DeploymentSeed(1, "alpha"),
+            SimEnvironment::DeploymentSeed(1, "alpha"));
+  EXPECT_NE(SimEnvironment::DeploymentSeed(1, "alpha"),
+            SimEnvironment::DeploymentSeed(1, "beta"));
+  EXPECT_NE(SimEnvironment::DeploymentSeed(1, "alpha"),
+            SimEnvironment::DeploymentSeed(2, "alpha"));
 }
 
-TEST(FleetSimulationTest, RejectsInvalidDeployments) {
+TEST(FleetTopologyTest, RejectsInvalidDeployments) {
   const RequestCentricPolicy policy = MakePolicy();
   const auto profiles = TestProfiles();
-  FleetSimulation fleet(WorkloadRegistry::Default(), SimOptions{});
+  const auto run = [](std::vector<SimFunctionSpec> specs) {
+    return Simulate(WorkloadRegistry::Default(), SimTopology::kFleet, specs, SimOptions{})
+        .status()
+        .code();
+  };
 
-  FleetFunctionSpec good;
+  SimFunctionSpec good;
   good.name = "fn";
   good.profile = profiles[0];
   good.policy = &policy;
-  EXPECT_TRUE(fleet.AddFunction(good).ok());
-  EXPECT_EQ(fleet.AddFunction(good).code(), StatusCode::kAlreadyExists);
+  good.requests = 20;
+  EXPECT_EQ(run({good}), StatusCode::kOk);
+  EXPECT_EQ(run({good, good}), StatusCode::kAlreadyExists);
 
-  FleetFunctionSpec unnamed = good;
+  SimFunctionSpec unnamed = good;
   unnamed.name.clear();
-  EXPECT_EQ(fleet.AddFunction(unnamed).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(run({good, unnamed}), StatusCode::kInvalidArgument);
 
-  FleetFunctionSpec no_profile = good;
+  SimFunctionSpec no_profile = good;
   no_profile.name = "fn2";
   no_profile.profile = nullptr;
-  EXPECT_EQ(fleet.AddFunction(no_profile).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(run({good, no_profile}), StatusCode::kInvalidArgument);
 
-  FleetFunctionSpec no_requests = good;
+  SimFunctionSpec no_requests = good;
   no_requests.name = "fn3";
   no_requests.requests = 0;
-  EXPECT_EQ(fleet.AddFunction(no_requests).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(run({good, no_requests}), StatusCode::kInvalidArgument);
+
+  // An empty fleet has nothing to run.
+  EXPECT_EQ(run({}), StatusCode::kInvalidArgument);
 }
 
-TEST(FleetSimulationTest, EmptyFleetFailsToRun) {
-  FleetSimulation fleet(WorkloadRegistry::Default(), SimOptions{});
-  EXPECT_EQ(fleet.Run().status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(FleetSimulationTest, DistinctSeedsProduceDistinctFleets) {
+TEST(FleetTopologyTest, DistinctSeedsProduceDistinctFleets) {
   const RequestCentricPolicy policy = MakePolicy();
-  SimOptions options_a;
-  options_a.seed = 7;
-  SimOptions options_b;
-  options_b.seed = 8;
+  SimFunctionSpec spec;
+  spec.name = "fn";
+  spec.profile = TestProfiles()[0];
+  spec.policy = &policy;
+  spec.requests = 60;
   std::set<uint32_t> digests;
-  for (const SimOptions& options : {options_a, options_b}) {
-    FleetSimulation fleet(WorkloadRegistry::Default(), options);
-    FleetFunctionSpec spec;
-    spec.name = "fn";
-    spec.profile = TestProfiles()[0];
-    spec.policy = &policy;
-    spec.requests = 60;
-    ASSERT_TRUE(fleet.AddFunction(std::move(spec)).ok());
-    auto report = fleet.Run();
+  for (const uint64_t seed : {7u, 8u}) {
+    SimOptions options;
+    options.seed = seed;
+    auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kFleet,
+                           std::span<const SimFunctionSpec>(&spec, 1), options);
     ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->Digest(), seed == 7 ? 0xf975ccebu : 0xac14b7f2u);
     digests.insert(report->Digest());
   }
   EXPECT_EQ(digests.size(), 2u);

@@ -1,9 +1,17 @@
-#include "src/platform/platform_simulation.h"
+// Whole-platform runs: many functions on one shared control plane, one
+// worker slot each. Trace replays (and repeated replays on persistent state)
+// drive a SimEnvironment directly; closed loops go through
+// Simulate(kPlatform). Every configuration's run report is pinned to a
+// golden digest (SimReport::Digest).
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
+#include "src/platform/sim_environment.h"
+#include "src/platform/simulate.h"
 #include "src/trace/trace_generator.h"
 
 namespace pronghorn {
@@ -40,63 +48,95 @@ InvocationTrace MakeTrace() {
   return trace;
 }
 
-TEST(PlatformSimulationTest, RejectsDuplicateDeployments) {
+// A platform deployment: one slot, named after the profile, sub-seed keyed
+// by (environment seed, name).
+Status Deploy(SimEnvironment& env, const char* profile, const OrchestrationPolicy& policy,
+              const EvictionModel& eviction, uint64_t seed) {
+  return env.AddDeployment(profile, Profile(profile), policy, eviction,
+                           /*worker_slots=*/1, /*exploring_slots=*/1,
+                           SimEnvironment::DeploymentSeed(seed, profile));
+}
+
+// Replays `trace` in arrival order. Still-warm workers stay warm, so a later
+// replay continues the same platform.
+Result<SimReport> Replay(SimEnvironment& env, const InvocationTrace& trace) {
+  std::vector<SimEnvironment::Arrival> arrivals;
+  for (const TraceRecord& record : trace.records()) {
+    PRONGHORN_ASSIGN_OR_RETURN(const size_t index, env.DeploymentIndex(record.function));
+    arrivals.push_back(SimEnvironment::Arrival{index, record.arrival});
+  }
+  PRONGHORN_RETURN_IF_ERROR(env.RunArrivals(arrivals));
+  return env.TakeReport();
+}
+
+TEST(PlatformTopologyTest, RejectsDuplicateDeployments) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction,
-                              SimOptions{});
+  SimEnvironment env(WorkloadRegistry::Default(), SimOptions{});
   const ColdStartPolicy policy;
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), policy).ok());
-  EXPECT_EQ(platform.DeployFunction(Profile("MST"), policy).code(),
+  ASSERT_TRUE(Deploy(env, "MST", policy, eviction, 1).ok());
+  EXPECT_EQ(Deploy(env, "MST", policy, eviction, 1).code(), StatusCode::kAlreadyExists);
+
+  SimFunctionSpec spec;
+  spec.name = "MST";
+  spec.profile = &Profile("MST");
+  spec.policy = &policy;
+  const std::vector<SimFunctionSpec> twice = {spec, spec};
+  EXPECT_EQ(Simulate(WorkloadRegistry::Default(), SimTopology::kPlatform, twice,
+                     SimOptions{})
+                .status()
+                .code(),
             StatusCode::kAlreadyExists);
 }
 
-TEST(PlatformSimulationTest, RejectsUndeployedFunctionInTrace) {
+TEST(PlatformTopologyTest, RejectsUndeployedFunctionInTrace) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction,
-                              SimOptions{});
+  SimEnvironment env(WorkloadRegistry::Default(), SimOptions{});
   const ColdStartPolicy policy;
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), policy).ok());
+  ASSERT_TRUE(Deploy(env, "MST", policy, eviction, 1).ok());
   const InvocationTrace trace = MakeTrace();  // Also invokes DynamicHTML.
-  EXPECT_EQ(platform.Replay(trace).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(Replay(env, trace).status().code(), StatusCode::kNotFound);
 }
 
-TEST(PlatformSimulationTest, ReplaysMultiFunctionTrace) {
+TEST(PlatformTopologyTest, ReplaysMultiFunctionTrace) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
   SimOptions options;
   options.seed = 3;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, "MST", *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, "DynamicHTML", *policy, eviction, options.seed).ok());
 
-  auto report = platform.Replay(MakeTrace());
+  auto report = Replay(env, MakeTrace());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->Digest(), 0x36a7539cu);
   ASSERT_EQ(report->per_function.size(), 2u);
-  EXPECT_EQ(report->per_function.at("MST").records.size(), 6u);
-  EXPECT_EQ(report->per_function.at("DynamicHTML").records.size(), 6u);
-  EXPECT_EQ(report->GlobalLatencySummary().count(), 12u);
+  EXPECT_EQ(report->per_function[0].function, "DynamicHTML");  // Name order.
+  EXPECT_EQ(report->Find("MST")->records.size(), 6u);
+  EXPECT_EQ(report->Find("DynamicHTML")->records.size(), 6u);
+  EXPECT_EQ(report->latency.count(), 12u);
   // The 2-minute gap evicted both workers once.
-  EXPECT_EQ(report->per_function.at("MST").worker_lifetimes, 2u);
-  EXPECT_EQ(report->per_function.at("DynamicHTML").worker_lifetimes, 2u);
-  EXPECT_EQ(report->TotalLifetimes(), 4u);
+  EXPECT_EQ(report->Find("MST")->worker_lifetimes, 2u);
+  EXPECT_EQ(report->Find("DynamicHTML")->worker_lifetimes, 2u);
+  EXPECT_EQ(report->worker_lifetimes, 4u);
 }
 
-TEST(PlatformSimulationTest, FunctionsShareStoresButNotState) {
+TEST(PlatformTopologyTest, FunctionsShareStoresButNotState) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
   SimOptions options;
   options.seed = 4;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, "MST", *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, "DynamicHTML", *policy, eviction, options.seed).ok());
 
-  auto report = platform.Replay(MakeTrace());
+  auto report = Replay(env, MakeTrace());
   ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->Digest(), 0xab7d8d6au);
 
-  auto mst_state = platform.LoadPolicyState("MST");
-  auto html_state = platform.LoadPolicyState("DynamicHTML");
+  auto mst_state = env.LoadPolicyState(*env.DeploymentIndex("MST"));
+  auto html_state = env.LoadPolicyState(*env.DeploymentIndex("DynamicHTML"));
   ASSERT_TRUE(mst_state.ok());
   ASSERT_TRUE(html_state.ok());
   // Each function learned its own latencies (they differ by ~5x scale).
@@ -107,65 +147,76 @@ TEST(PlatformSimulationTest, FunctionsShareStoresButNotState) {
   for (const PoolEntry& entry : mst_state->pool.entries()) {
     EXPECT_EQ(entry.metadata.function, "MST");
   }
-  EXPECT_EQ(platform.LoadPolicyState("Ghost").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(env.DeploymentIndex("Ghost").status().code(), StatusCode::kNotFound);
 }
 
-TEST(PlatformSimulationTest, StatePersistsAcrossReplays) {
+TEST(PlatformTopologyTest, StatePersistsAcrossReplays) {
   IdleTimeoutEviction eviction(Duration::Seconds(60));
   SimOptions options;
   options.seed = 5;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, "MST", *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, "DynamicHTML", *policy, eviction, options.seed).ok());
+  const size_t mst = *env.DeploymentIndex("MST");
 
-  ASSERT_TRUE(platform.Replay(MakeTrace()).ok());
-  auto first = platform.LoadPolicyState("MST");
+  auto first_report = Replay(env, MakeTrace());
+  ASSERT_TRUE(first_report.ok());
+  EXPECT_EQ(first_report->Digest(), 0x82a13348u);
+  auto first = env.LoadPolicyState(mst);
   ASSERT_TRUE(first.ok());
   const uint32_t explored_after_first = first->theta.ExploredCount();
 
-  ASSERT_TRUE(platform.Replay(MakeTrace()).ok());
-  auto second = platform.LoadPolicyState("MST");
+  auto second_report = Replay(env, MakeTrace());
+  ASSERT_TRUE(second_report.ok());
+  EXPECT_EQ(second_report->Digest(), 0xecd83579u);
+  auto second = env.LoadPolicyState(mst);
   ASSERT_TRUE(second.ok());
   EXPECT_GE(second->theta.ExploredCount(), explored_after_first);
 }
 
-TEST(PlatformSimulationTest, FaultPlanProducesRecoveryStats) {
-  // Regression: the platform driver must actually wire its FaultPlan into the
-  // shared stores and surface FaultRecoveryStats in the report, like the
-  // single-function and fleet drivers do.
-  IdleTimeoutEviction eviction(Duration::Seconds(60));
-  SimOptions options;
-  options.seed = 9;
-  options.faults.get_failure_rate = 0.15;
-  options.faults.put_failure_rate = 0.15;
-  options.faults.seed = 77;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+TEST(PlatformTopologyTest, FaultPlanProducesRecoveryStats) {
+  // Regression: the platform topology must actually wire its FaultPlan into
+  // the shared stores and surface FaultRecoveryStats in the report.
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("DynamicHTML"), *policy).ok());
+  std::vector<SimFunctionSpec> specs;
+  for (const char* name : {"MST", "DynamicHTML"}) {
+    SimFunctionSpec spec;
+    spec.name = name;
+    spec.profile = &Profile(name);
+    spec.policy = &*policy;
+    spec.requests = 200;
+    specs.push_back(spec);
+  }
+  SimOptions options;
+  options.seed = 9;
+  options.eviction.kind = FleetEvictionSpec::Kind::kIdleTimeout;
+  options.eviction.idle_timeout = Duration::Seconds(60);
+  SimOptions faulty = options;
+  faulty.faults.get_failure_rate = 0.15;
+  faulty.faults.put_failure_rate = 0.15;
+  faulty.faults.seed = 77;
 
-  auto report = platform.RunClosedLoop(400);
+  auto report =
+      Simulate(WorkloadRegistry::Default(), SimTopology::kPlatform, specs, faulty);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->GlobalLatencySummary().count(), 400u);
+  EXPECT_EQ(report->Digest(), 0xa4eb9ddbu);
+  EXPECT_EQ(report->latency.count(), 400u);
   // With 15% store failure rates over hundreds of operations, the injected
   // faults must be visible in the platform-level recovery stats.
   EXPECT_GT(report->faults.store_faults + report->faults.db_faults, 0u);
 
   // A fault-free run of the same platform reports zero injected faults.
-  SimOptions clean_options;
-  clean_options.seed = 9;
-  PlatformSimulation clean(WorkloadRegistry::Default(), eviction, clean_options);
-  ASSERT_TRUE(clean.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(clean.DeployFunction(Profile("DynamicHTML"), *policy).ok());
-  auto clean_report = clean.RunClosedLoop(400);
+  auto clean_report =
+      Simulate(WorkloadRegistry::Default(), SimTopology::kPlatform, specs, options);
   ASSERT_TRUE(clean_report.ok());
+  EXPECT_EQ(clean_report->Digest(), 0x82e5fa2fu);
   EXPECT_EQ(clean_report->faults.store_faults + clean_report->faults.db_faults, 0u);
 }
 
-TEST(PlatformSimulationTest, GeneratedTraceEndToEnd) {
+TEST(PlatformTopologyTest, GeneratedTraceEndToEnd) {
   // Full pipeline: Azure model -> trace -> platform replay.
   const AzureTraceModel model;
   TraceGenerator generator(model, 6);
@@ -179,15 +230,16 @@ TEST(PlatformSimulationTest, GeneratedTraceEndToEnd) {
   AnyOfEviction eviction({&idle, &lifetime});
   SimOptions options;
   options.seed = 7;
-  PlatformSimulation platform(WorkloadRegistry::Default(), eviction, options);
+  SimEnvironment env(WorkloadRegistry::Default(), options);
   const auto policy = RequestCentricPolicy::Create(TestConfig());
   ASSERT_TRUE(policy.ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("MST"), *policy).ok());
-  ASSERT_TRUE(platform.DeployFunction(Profile("Thumbnailer"), *policy).ok());
+  ASSERT_TRUE(Deploy(env, "MST", *policy, eviction, options.seed).ok());
+  ASSERT_TRUE(Deploy(env, "Thumbnailer", *policy, eviction, options.seed).ok());
 
-  auto report = platform.Replay(*trace);
+  auto report = Replay(env, *trace);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->GlobalLatencySummary().count(), trace->size());
+  EXPECT_EQ(report->Digest(), 0xba30192eu);
+  EXPECT_EQ(report->latency.count(), trace->size());
   EXPECT_GT(report->object_store.put_count, 0u);  // Checkpoints were uploaded.
 }
 

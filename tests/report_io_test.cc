@@ -5,7 +5,7 @@
 #include <filesystem>
 
 #include "src/core/baseline_policies.h"
-#include "src/platform/function_simulation.h"
+#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -59,12 +59,17 @@ TEST(ReportIoTest, FileRoundTripFromSimulation) {
   const auto profile = WorkloadRegistry::Default().Find("Hash");
   ASSERT_TRUE(profile.ok());
   const ColdStartPolicy policy;
-  auto eviction = EveryKRequestsEviction::Create(4);
-  ASSERT_TRUE(eviction.ok());
-  FunctionSimulation sim(**profile, WorkloadRegistry::Default(), policy, **eviction,
-                         SimOptions{});
-  auto report = sim.RunClosedLoop(40);
-  ASSERT_TRUE(report.ok());
+  SimOptions options;  // Evicts every 4 requests by default.
+  options.worker_slots = 1;
+  SimFunctionSpec spec;
+  spec.name = (*profile)->name;
+  spec.profile = *profile;
+  spec.policy = &policy;
+  spec.requests = 40;
+  auto run = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                      std::span<const SimFunctionSpec>(&spec, 1), options);
+  ASSERT_TRUE(run.ok());
+  const SimulationReport* report = &run->flat();
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "pronghorn_report_test.csv").string();

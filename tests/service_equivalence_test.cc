@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/core/request_centric_policy.h"
@@ -121,6 +122,47 @@ TEST(ServiceEquivalenceTest, FleetDigestIdenticalServiceOnOffFaultFree) {
       ApplyVariant(options, variant);
       auto report = Simulate(registry, SimTopology::kFleet, specs, options);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
+      digests.push_back(report->Digest());
+    }
+  }
+  for (const uint32_t digest : digests) {
+    EXPECT_EQ(digest, digests.front());
+  }
+}
+
+TEST(ServiceEquivalenceTest, FleetSharingProfilesDigestIdenticalServiceOnOff) {
+  // Two deployments per evaluation profile under unique names: concurrent
+  // shards then run deployments of the same profile at once, all bound into
+  // the one shared service. Bindings must be keyed by the deployment name,
+  // not the profile name, or the second binding of a profile collides.
+  const auto policy = RequestCentricPolicy::Create(TestConfig());
+  ASSERT_TRUE(policy.ok());
+  const auto& registry = WorkloadRegistry::Default();
+  const auto evaluation = registry.EvaluationSet();
+  std::vector<SimFunctionSpec> specs;
+  for (size_t i = 0; i < 2 * evaluation.size(); ++i) {
+    const WorkloadProfile* profile = evaluation[i % evaluation.size()];
+    SimFunctionSpec spec;
+    spec.name = "f" + std::to_string(i) + "-" + profile->name;
+    spec.profile = profile;
+    spec.policy = &*policy;
+    spec.requests = 60;
+    specs.push_back(spec);
+  }
+  ASSERT_EQ(specs.size(), 26u);
+
+  std::vector<uint32_t> digests;
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    for (const ServiceVariant& variant : kVariants) {
+      SimOptions options;
+      options.seed = 5;
+      options.threads = threads;
+      options.worker_slots = 2;
+      ApplyVariant(options, variant);
+      auto report = Simulate(registry, SimTopology::kFleet, specs, options);
+      ASSERT_TRUE(report.ok()) << "threads=" << threads << " service="
+                               << variant.enabled << ": " << report.status().ToString();
+      EXPECT_EQ(report->functions_total, specs.size());
       digests.push_back(report->Digest());
     }
   }
