@@ -52,7 +52,7 @@ WorkloadProfile SensitiveProfile() {
 class Deployment {
  public:
   Deployment(const WorkloadProfile& profile, const WorkloadRegistry& registry,
-             const OrchestrationPolicy& policy, KvDatabase& db, ObjectStore& store,
+             const OrchestrationPolicy& policy, KvDatabase& db, InMemoryObjectStore& store,
              CheckpointEngine& engine, SimClock& clock, std::string scope,
              uint64_t seed)
       : state_store_(db, std::move(scope), policy.config()),

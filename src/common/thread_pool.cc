@@ -4,11 +4,6 @@
 #include <chrono>
 #include <exception>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace pronghorn {
 
 uint32_t ThreadPool::DefaultThreadCount() {
@@ -20,12 +15,12 @@ uint32_t ThreadPool::EffectiveParallelism(uint32_t requested) {
   return std::min(requested == 0 ? hardware : requested, hardware);
 }
 
-ThreadPool::ThreadPool(ThreadPoolOptions options) {
+ThreadPool::ThreadPool(uint32_t threads) {
   // Cap at kMaxThreads: beyond any plausible core count, more OS threads only
   // add scheduling overhead, and an accidental huge request (e.g. a negative
   // flag value cast to unsigned) must not try to spawn billions of threads.
-  const uint32_t count = std::min(
-      options.threads == 0 ? DefaultThreadCount() : options.threads, kMaxThreads);
+  const uint32_t count =
+      std::min(threads == 0 ? DefaultThreadCount() : threads, kMaxThreads);
   queues_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
@@ -34,21 +29,6 @@ ThreadPool::ThreadPool(ThreadPoolOptions options) {
   for (uint32_t i = 0; i < count; ++i) {
     workers_.emplace_back([this, i]() { WorkerLoop(i); });
   }
-#if defined(__linux__)
-  if (options.pin_threads) {
-    const uint32_t hardware = DefaultThreadCount();
-    for (uint32_t i = 0; i < count; ++i) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(i % hardware, &set);
-      // Best effort: a restricted affinity mask (cgroup, taskset) can refuse
-      // some CPUs; the pool still works unpinned.
-      (void)pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set), &set);
-    }
-  }
-#else
-  (void)options.pin_threads;
-#endif
 }
 
 ThreadPool::~ThreadPool() {

@@ -33,18 +33,6 @@ namespace pronghorn {
 // pinned here.)
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-// Construction knobs beyond the worker count.
-struct ThreadPoolOptions {
-  // Worker count; 0 means DefaultThreadCount().
-  uint32_t threads = 0;
-  // Pins worker i to hardware CPU (i mod hardware threads) on platforms
-  // that support thread affinity (Linux). Keeps a shard's working set on
-  // one core's private caches instead of migrating between cores; a no-op
-  // elsewhere. (NUMA-aware placement — spreading shards across sockets
-  // before hyperthread siblings — is the open ROADMAP follow-up.)
-  bool pin_threads = false;
-};
-
 class ThreadPool {
  public:
   // Hard ceiling on the worker count, applied to any requested size.
@@ -52,9 +40,7 @@ class ThreadPool {
 
   // Spawns `threads` workers; 0 means DefaultThreadCount(). Requests above
   // kMaxThreads are clamped.
-  explicit ThreadPool(uint32_t threads = 0) : ThreadPool(ThreadPoolOptions{threads}) {}
-
-  explicit ThreadPool(ThreadPoolOptions options);
+  explicit ThreadPool(uint32_t threads = 0);
 
   // Drains every queued task, then joins the workers. Submitting from a task
   // that outlives the destructor call is a programming error.

@@ -1,5 +1,7 @@
 #include "src/core/policy_config.h"
 
+#include <string>
+
 namespace pronghorn {
 
 Status PolicyConfig::Validate() const {
@@ -11,6 +13,14 @@ Status PolicyConfig::Validate() const {
   }
   if (max_checkpoint_request == 0) {
     return InvalidArgumentError("W (max checkpoint request) must be >= 1");
+  }
+  // Summed in 64 bits: W + beta + 1 in uint32_t would wrap for large inputs.
+  const uint64_t weight_length =
+      uint64_t{max_checkpoint_request} + uint64_t{beta} + 1;
+  if (weight_length > kMaxWeightVectorLength) {
+    return InvalidArgumentError("W + beta + 1 must be <= " +
+                                std::to_string(kMaxWeightVectorLength) + ", got " +
+                                std::to_string(weight_length));
   }
   if (alpha <= 0.0 || alpha > 1.0) {
     return InvalidArgumentError("alpha must be in (0, 1]");

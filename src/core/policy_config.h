@@ -37,7 +37,15 @@ struct PolicyConfig {
 
   // Length of the learned weight vector: checkpoints are bounded by W but a
   // worker restored at W still reports latencies for its whole lifetime.
+  // Validate() guarantees it neither overflows nor exceeds
+  // kMaxWeightVectorLength.
   uint32_t WeightVectorLength() const { return max_checkpoint_request + beta + 1; }
+
+  // Upper bound on W + beta + 1. The paper's largest W is 200 (JVM) and beta
+  // tracks the eviction period, so 65536 slots (a 512 KiB weight vector per
+  // function) leaves two orders of magnitude of headroom while keeping a
+  // typo such as W = 10^9 from allocating gigabytes.
+  static constexpr uint64_t kMaxWeightVectorLength = 1u << 16;
 
   // Validates ranges; kInvalidArgument with a precise message otherwise.
   Status Validate() const;

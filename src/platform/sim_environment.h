@@ -145,7 +145,7 @@ class SimEnvironment {
   // Read-only store access for tests and exhibits (the raw in-memory stores,
   // not the fault decorators).
   const KvDatabase& raw_database() const { return db_; }
-  const ObjectStore& raw_object_store() const { return object_store_; }
+  const InMemoryObjectStore& raw_object_store() const { return object_store_; }
   // The snapshot store the deployments actually talk to (fault decorator
   // included when chaos is on).
   SnapshotStore& snapshot_store() { return active_snapshot_store(); }
@@ -185,7 +185,6 @@ class SimEnvironment {
   };
 
   KvDatabase& active_database();
-  ObjectStore& active_object_store();
   SnapshotStore& active_snapshot_store();
   // Builds the request, draws its input scale, and serves it on `slot`.
   Status Dispatch(Deployment& deployment, SimCore& slot, TimePoint arrival);
@@ -201,16 +200,11 @@ class SimEnvironment {
   InMemoryKvDatabase db_;
   InMemoryObjectStore object_store_;
   // Engaged only when options.faults is active; deployments then talk to the
-  // stores through these decorators. The object-store decorator exists only
-  // for flat store builds — a dedup build routes chaos through
-  // faulty_snapshot_store_ instead (same salt, same draw order).
+  // stores through these decorators.
   std::optional<FaultyKvDatabase> faulty_db_;
-  std::optional<FaultyObjectStore> faulty_object_store_;
-  // The snapshot store behind every orchestrator: the flat compatibility
-  // adapter over active_object_store(), or a DedupSnapshotStore, per
-  // options.store.kind.
+  // The snapshot store behind every orchestrator: a FlatSnapshotStore over
+  // object_store_, or a DedupSnapshotStore, per options.store.kind.
   std::unique_ptr<SnapshotStore> base_snapshot_store_;
-  // Chaos decorator for dedup builds (flat builds inject below the adapter).
   std::optional<FaultySnapshotStore> faulty_snapshot_store_;
   std::vector<Deployment> deployments_;
   uint64_t next_request_id_ = 1;

@@ -166,10 +166,6 @@ struct SimOptions {
   uint32_t worker_slots = 4;
   uint32_t exploring_slots = 1;
   uint32_t threads = 0;
-  // Pin fleet shard threads to cores (Linux only; see ThreadPoolOptions).
-  // Like `threads`, a pure scheduling knob: never fingerprinted, never
-  // affects results.
-  bool pin_threads = false;
   FleetEvictionSpec eviction;
 
   LifecycleOptions lifecycle;
@@ -181,11 +177,10 @@ struct SimOptions {
   // comparison and for --no-state-cache.
   bool state_cache = true;
 
-  // How each deployment's snapshot store is built: the flat compatibility
-  // adapter (default; bit-identical to the historical ObjectStore path) or
-  // the content-addressed DedupSnapshotStore with optional CDC chunking and
-  // REAP-style lazy restore. Digest-neutral: only the digest-excluded
-  // physical accounting differs between kinds.
+  // How each deployment's snapshot store is built: the flat whole-image
+  // store (default) or the content-addressed DedupSnapshotStore with
+  // optional CDC chunking and REAP-style lazy restore. Digest-neutral: only
+  // the digest-excluded physical accounting differs between kinds.
   SnapshotStoreOptions store;
 
   // Chaos layer: when the plan is active, the stores are wrapped in fault

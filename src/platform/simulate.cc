@@ -180,10 +180,7 @@ Result<SimReport> SimulateFleet(const WorkloadRegistry& registry,
       run_one(i);
     }
   } else {
-    ThreadPoolOptions pool_options;
-    pool_options.threads = workers - 1;  // The calling thread participates.
-    pool_options.pin_threads = options.pin_threads;
-    ThreadPool pool(pool_options);
+    ThreadPool pool(workers - 1);  // The calling thread participates.
     pool.ParallelFor(functions.size(), run_one);
   }
 

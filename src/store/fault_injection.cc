@@ -47,97 +47,6 @@ bool FaultPlan::Active() const {
          !windows.empty();
 }
 
-// --- FaultyObjectStore -------------------------------------------------------
-
-void FaultyObjectStore::NoteFault(const char* counter, const char* event) const {
-  if (obs_ == nullptr) {
-    return;
-  }
-  obs_->Counter(counter, 1);
-  if (event != nullptr) {
-    obs_->Instant(obs_track_, event, "fault",
-                  clock_ != nullptr ? clock_->now() : TimePoint());
-  }
-}
-
-bool FaultyObjectStore::ShouldFail(double rate) const {
-  if (InOutage(plan_, clock_, FaultDomain::kObjectStore, stats_)) {
-    stats_.faults_injected += 1;
-    stats_.outage_faults += 1;
-    NoteFault("faults.store.injected", "fault:store_outage");
-    return true;
-  }
-  if (rng_.Bernoulli(rate)) {
-    stats_.faults_injected += 1;
-    NoteFault("faults.store.injected", "fault:store");
-    return true;
-  }
-  return false;
-}
-
-Status FaultyObjectStore::Put(std::string_view key, ObjectBlob blob) {
-  if (ShouldFail(plan_.put_failure_rate)) {
-    return UnavailableError("injected object-store put failure");
-  }
-  if (rng_.Bernoulli(plan_.torn_write_rate) && !blob.bytes().empty()) {
-    // Partial upload: half the payload lands, the call still fails. The
-    // stored garbage is an orphan until GC (or a successful rewrite) reaps it.
-    // The half-payload copy is the fault's own private buffer — the caller's
-    // shared bytes are never mutated.
-    const std::vector<uint8_t>& payload = blob.bytes();
-    std::vector<uint8_t> half(
-        payload.begin(),
-        payload.begin() + static_cast<std::ptrdiff_t>(payload.size() / 2));
-    stats_.torn_puts += 1;
-    stats_.faults_injected += 1;
-    NoteFault("faults.store.torn_puts", "fault:torn_put");
-    (void)inner_.Put(key, ObjectBlob(std::move(half), blob.logical_size / 2));
-    return UnavailableError("injected torn object-store put");
-  }
-  if (rng_.Bernoulli(plan_.corruption_rate) && !blob.bytes().empty()) {
-    // Silent bit rot: flip one bit and report success. Only the snapshot
-    // image CRC can catch this, at restore time. Copy-on-corrupt: the
-    // payload is deep-copied only when this fault actually fires, so the
-    // zero-copy fast path stays intact for healthy puts.
-    std::vector<uint8_t> corrupted = blob.bytes();
-    FlipRandomBit(corrupted, rng_);
-    blob = ObjectBlob(std::move(corrupted), blob.logical_size);
-    stats_.corrupted_puts += 1;
-    NoteFault("faults.store.corrupted_puts", "fault:corrupted_put");
-  }
-  return inner_.Put(key, std::move(blob));
-}
-
-Result<ObjectBlob> FaultyObjectStore::Get(std::string_view key) {
-  if (ShouldFail(plan_.get_failure_rate)) {
-    return UnavailableError("injected object-store get failure");
-  }
-  return inner_.Get(key);
-}
-
-Status FaultyObjectStore::Delete(std::string_view key) {
-  if (ShouldFail(plan_.delete_failure_rate)) {
-    return UnavailableError("injected object-store delete failure");
-  }
-  return inner_.Delete(key);
-}
-
-bool FaultyObjectStore::Contains(std::string_view key) const {
-  if (ShouldFail(plan_.metadata_failure_rate)) {
-    stats_.metadata_faults += 1;
-    return false;  // The metadata index is unreachable.
-  }
-  return inner_.Contains(key);
-}
-
-std::vector<std::string> FaultyObjectStore::ListKeys(std::string_view prefix) const {
-  if (ShouldFail(plan_.metadata_failure_rate)) {
-    stats_.metadata_faults += 1;
-    return {};
-  }
-  return inner_.ListKeys(prefix);
-}
-
 // --- FaultySnapshotStore -----------------------------------------------------
 
 void FaultySnapshotStore::NoteFault(const char* counter, const char* event) const {
@@ -168,12 +77,16 @@ bool FaultySnapshotStore::ShouldFail(double rate) const {
 
 Result<SnapshotRef> FaultySnapshotStore::PutSnapshot(std::string_view key,
                                                      ObjectBlob blob) {
-  // Draw-for-draw the FaultyObjectStore::Put sequence: fail check, torn
-  // check, corruption check (+ one bit draw when it fires).
+  // Shared-stream draw order: fail check, torn check, corruption check (+ one
+  // bit draw when it fires).
   if (ShouldFail(plan_.put_failure_rate)) {
     return UnavailableError("injected object-store put failure");
   }
   if (rng_.Bernoulli(plan_.torn_write_rate) && !blob.bytes().empty()) {
+    // Partial upload: half the payload lands, the call still fails. The
+    // stored garbage is an orphan until GC (or a successful rewrite) reaps it.
+    // The half-payload copy is the fault's own private buffer — the caller's
+    // shared bytes are never mutated.
     const std::vector<uint8_t>& payload = blob.bytes();
     std::vector<uint8_t> half(
         payload.begin(),
@@ -185,10 +98,12 @@ Result<SnapshotRef> FaultySnapshotStore::PutSnapshot(std::string_view key,
     return UnavailableError("injected torn object-store put");
   }
   if (rng_.Bernoulli(plan_.corruption_rate) && !blob.bytes().empty()) {
-    // Whole-image bit rot *before* chunking: the damaged region lands in a
-    // chunk with a new content address (copy-on-write by construction), so
-    // siblings sharing the healthy chunk are untouched and the flat-path
-    // "image CRC catches it at restore" semantics carry over unchanged.
+    // Silent whole-image bit rot, reported as success; only the snapshot
+    // image CRC catches it, at restore time. Copy-on-corrupt: the payload is
+    // deep-copied only when this fault fires, so healthy puts stay zero-copy.
+    // On a dedup store the rot happens *before* chunking: the damaged region
+    // lands in a chunk with a new content address, so siblings sharing the
+    // healthy chunk are untouched.
     std::vector<uint8_t> corrupted = blob.bytes();
     FlipRandomBit(corrupted, rng_);
     blob = ObjectBlob(std::move(corrupted), blob.logical_size);
@@ -231,7 +146,7 @@ Status FaultySnapshotStore::DeleteSnapshot(std::string_view key) {
 bool FaultySnapshotStore::ContainsSnapshot(std::string_view key) const {
   if (ShouldFail(plan_.metadata_failure_rate)) {
     stats_.metadata_faults += 1;
-    return false;
+    return false;  // The metadata index is unreachable.
   }
   return inner_.ContainsSnapshot(key);
 }

@@ -2,7 +2,7 @@
 //
 // Distributed deployments lose object-store reads and database round trips
 // to transient failures, partial uploads, and flipped bits. These decorators
-// wrap any ObjectStore/KvDatabase and inject faults from a seeded FaultPlan,
+// wrap any SnapshotStore/KvDatabase and inject faults from a seeded FaultPlan,
 // letting tests and benches verify the orchestrator's degradation behavior
 // (restore failures fall back to the next-best snapshot; knowledge writes
 // are buffered through outages; corrupt images are quarantined).
@@ -16,7 +16,7 @@
 //     require the decorator to hold the simulation's clock; without a clock
 //     they are ignored.
 //
-// Object-store writes additionally support two data-integrity faults:
+// Snapshot writes additionally support two data-integrity faults:
 //   - corruption_rate: the stored image gets one bit flipped. The write
 //     "succeeds"; the damage is only caught later by the snapshot CRC.
 //   - torn_write_rate: a truncated prefix lands in the store and the call
@@ -134,21 +134,21 @@ struct FaultPlan {
   double get_failure_rate = 0.0;
   double put_failure_rate = 0.0;
   double delete_failure_rate = 0.0;
-  // Metadata/list operations (ObjectStore Contains/ListKeys, KvDatabase
-  // ListKeys). These interfaces cannot return a Status, so a metadata fault
-  // models an unreachable index: Contains reports false, ListKeys reports
-  // nothing.
+  // Metadata/list operations (SnapshotStore ContainsSnapshot/ListSnapshots,
+  // KvDatabase ListKeys). These interfaces cannot return a Status, so a
+  // metadata fault models an unreachable index: a contains check reports
+  // false, a list reports nothing.
   double metadata_failure_rate = 0.0;
-  // Object-store Put bit-flip corruption (stored image is damaged, write
+  // Snapshot put bit-flip corruption (stored image is damaged, write
   // reports success).
   double corruption_rate = 0.0;
-  // Object-store Put torn write (truncated blob stored, write reports
+  // Snapshot put torn write (truncated blob stored, write reports
   // kUnavailable).
   double torn_write_rate = 0.0;
   // Chunk-granular at-rest faults (DedupSnapshotStore only; flat stores have
   // no chunks, so these rates are ignored for them). Both fire *after* a
   // successful put, from an independent RNG stream, so enabling them never
-  // perturbs the flat-store fault trajectory.
+  // perturbs the shared fault trajectory.
   //   chunk_corruption_rate: one chunk of the stored snapshot is rewritten
   //     through copy-on-write with a flipped bit — snapshots sharing the
   //     original chunk stay healthy; the damaged snapshot fails its image
@@ -188,58 +188,17 @@ struct FaultInjectionStats {
   uint64_t corrupted_manifests = 0;  // Manifest-frame bit rot.
 };
 
-// ObjectStore decorator. The inner store is borrowed and must outlive this.
-// `clock` (borrowed, may be null) enables scheduled windows and receives the
-// injected latency of kLatency windows.
-class FaultyObjectStore : public ObjectStore {
- public:
-  FaultyObjectStore(ObjectStore& inner, FaultPlan plan, SimClock* clock = nullptr)
-      : inner_(inner),
-        plan_(std::move(plan)),
-        clock_(clock),
-        rng_(HashCombine(plan_.seed, 0xfa17ULL)) {}
-
-  Status Put(std::string_view key, ObjectBlob blob) override;
-  Result<ObjectBlob> Get(std::string_view key) override;
-  Status Delete(std::string_view key) override;
-  bool Contains(std::string_view key) const override;
-  std::vector<std::string> ListKeys(std::string_view prefix) const override;
-  StoreAccounting accounting() const override { return inner_.accounting(); }
-
-  const FaultInjectionStats& stats() const { return stats_; }
-  uint64_t faults_injected() const { return stats_.faults_injected; }
-
-  // Borrowed observability sink; injected faults become counters plus 'i'
-  // instants on `track` at the simulated fault time.
-  void set_obs(ObsSink* obs, ObsTrack track) {
-    obs_ = obs;
-    obs_track_ = track;
-  }
-
- private:
-  // Applies windows and the per-op rate; true means the op must fail.
-  bool ShouldFail(double rate) const;
-  // Emits the counter (and instant, when `event` is non-null) for one
-  // injected fault.
-  void NoteFault(const char* counter, const char* event) const;
-
-  ObjectStore& inner_;
-  FaultPlan plan_;
-  SimClock* clock_;
-  mutable Rng rng_;
-  mutable FaultInjectionStats stats_;
-  ObsSink* obs_ = nullptr;
-  ObsTrack obs_track_;
-};
-
-// SnapshotStore decorator: the chunk-granular sibling of FaultyObjectStore.
-// Seeded with the SAME salt and drawing in the SAME order per logical
-// operation, so a dedup deployment under chaos replays the exact fault
-// trajectory of a flat deployment whose decorator wraps the ObjectStore —
-// that equivalence is what keeps simulation digests bit-identical with the
-// store swapped. Chunk/manifest faults draw from an independent stream
-// (salt 0xc417) after a put succeeds, so enabling them cannot shift the
-// shared trajectory either. The inner store is borrowed.
+// SnapshotStore decorator: the one storage fault decorator, for flat and
+// dedup builds alike. All operations draw from one seeded stream (salt
+// 0xfa17) — PutSnapshot in the order fail, torn, corrupt (+ one bit draw when
+// it fires), every other operation once — so the draw sequence depends only
+// on the logical operation sequence, never on the inner store. That is what
+// keeps simulation digests bit-identical with the store swapped.
+// Chunk/manifest faults draw from an independent stream (salt 0xc417) after a
+// put succeeds, so enabling them cannot shift the shared trajectory; a flat
+// inner store declines them. `clock` (borrowed, may be null) enables
+// scheduled windows and receives the injected latency of kLatency windows.
+// The inner store is borrowed.
 class FaultySnapshotStore : public SnapshotStore {
  public:
   FaultySnapshotStore(SnapshotStore& inner, FaultPlan plan, SimClock* clock = nullptr)
@@ -268,8 +227,9 @@ class FaultySnapshotStore : public SnapshotStore {
   const FaultInjectionStats& stats() const { return stats_; }
   uint64_t faults_injected() const { return stats_.faults_injected; }
 
-  // Borrowed observability sink; also forwarded to the inner store so its
-  // chunk_fetch spans land on the same track.
+  // Borrowed observability sink; injected faults become counters plus 'i'
+  // instants on `track` at the simulated fault time. Also forwarded to the
+  // inner store so its chunk_fetch spans land on the same track.
   void set_obs(ObsSink* obs, ObsTrack track) override {
     obs_ = obs;
     obs_track_ = track;
@@ -313,7 +273,7 @@ class FaultyKvDatabase : public KvDatabase {
   const FaultInjectionStats& stats() const { return stats_; }
   uint64_t faults_injected() const { return stats_.faults_injected; }
 
-  // Borrowed observability sink; see FaultyObjectStore::set_obs.
+  // Borrowed observability sink; see FaultySnapshotStore::set_obs.
   void set_obs(ObsSink* obs, ObsTrack track) {
     obs_ = obs;
     obs_track_ = track;

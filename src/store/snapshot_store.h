@@ -1,6 +1,6 @@
 // SnapshotStore: the chunk-granular snapshot API.
 //
-// The flat ObjectStore::Put/Get(key, ObjectBlob) interface cannot express
+// A flat Put/Get(key, ObjectBlob) blob interface cannot express
 // chunk-granular or partial access, so the checkpoint/restore path talks to
 // this API instead:
 //
@@ -12,9 +12,8 @@
 //
 // Two implementations:
 //
-//   FlatSnapshotStore  — compatibility adapter over an existing ObjectStore.
-//     One inner operation per call, so every pre-existing driver, fault
-//     trajectory, and report digest stays bit-identical.
+//   FlatSnapshotStore  — one whole-image blob per snapshot in an
+//     InMemoryObjectStore, one inner operation per call.
 //
 //   DedupSnapshotStore — content-addressed chunk index. Snapshots are split
 //     into fixed/CDC chunks (src/store/chunker.h) keyed by content digest
@@ -78,7 +77,7 @@ class SnapshotReader {
 // How a simulation's snapshot store is built (SimOptions::store).
 struct SnapshotStoreOptions {
   enum class Kind {
-    kFlat = 0,   // FlatSnapshotStore over the environment's ObjectStore.
+    kFlat = 0,   // FlatSnapshotStore over the environment's InMemoryObjectStore.
     kDedup = 1,  // Content-addressed DedupSnapshotStore.
   };
   Kind kind = Kind::kFlat;
@@ -125,12 +124,12 @@ class SnapshotStore {
   virtual void set_obs(ObsSink* obs, ObsTrack track);
 };
 
-// Compatibility adapter: one inner ObjectStore operation per call, so flat
-// deployments (including their fault-decorator RNG draw sequences) replay
-// bit-identically through the new API. The inner store is borrowed.
+// One whole-image blob per snapshot: exactly one inner InMemoryObjectStore
+// operation per call, no chunks, no pins, nothing to collect. The inner
+// store is borrowed.
 class FlatSnapshotStore : public SnapshotStore {
  public:
-  explicit FlatSnapshotStore(ObjectStore& inner) : inner_(inner) {}
+  explicit FlatSnapshotStore(InMemoryObjectStore& inner) : inner_(inner) {}
 
   Result<SnapshotRef> PutSnapshot(std::string_view key, ObjectBlob blob) override;
   Result<std::unique_ptr<SnapshotReader>> OpenSnapshot(std::string_view key) override;
@@ -143,7 +142,7 @@ class FlatSnapshotStore : public SnapshotStore {
   StoreAccounting accounting() const override { return inner_.accounting(); }
 
  private:
-  ObjectStore& inner_;
+  InMemoryObjectStore& inner_;
 };
 
 // Content-addressed deduplicated store. Self-contained (owns its chunk index

@@ -61,7 +61,26 @@ INSTANTIATE_TEST_SUITE_P(
         InvalidCase{"zero_mu", [](PolicyConfig& c) { c.mu = 0.0; }},
         InvalidCase{"negative_mu", [](PolicyConfig& c) { c.mu = -1e-6; }},
         InvalidCase{"zero_temperature",
-                    [](PolicyConfig& c) { c.softmax_temperature = 0.0; }}),
+                    [](PolicyConfig& c) { c.softmax_temperature = 0.0; }},
+        // What `--w -1` / `--beta -3` used to wrap to: W + beta + 1 overflows
+        // uint32_t into a tiny weight vector.
+        InvalidCase{"w_wrapped_from_negative",
+                    [](PolicyConfig& c) { c.max_checkpoint_request = 0xffffffffu; }},
+        InvalidCase{"beta_wrapped_from_negative",
+                    [](PolicyConfig& c) { c.beta = 0xfffffffdu; }},
+        InvalidCase{"w_plus_beta_overflows",
+                    [](PolicyConfig& c) {
+                      c.max_checkpoint_request = 0x80000000u;
+                      c.beta = 0x80000000u;
+                    }},
+        // `--w 1000000000`: no overflow, but a 10^9-slot weight vector.
+        InvalidCase{"huge_w",
+                    [](PolicyConfig& c) { c.max_checkpoint_request = 1000000000u; }},
+        InvalidCase{"weight_vector_one_past_bound",
+                    [](PolicyConfig& c) {
+                      c.max_checkpoint_request = static_cast<uint32_t>(
+                          PolicyConfig::kMaxWeightVectorLength - c.beta);
+                    }}),
     [](const ::testing::TestParamInfo<InvalidCase>& info) { return info.param.name; });
 
 TEST(PolicyConfigTest, BoundaryValuesAccepted) {
@@ -73,6 +92,20 @@ TEST(PolicyConfigTest, BoundaryValuesAccepted) {
   EXPECT_TRUE(config.Validate().ok());
   config.beta = 1;
   EXPECT_TRUE(config.Validate().ok());
+}
+
+TEST(PolicyConfigTest, WeightVectorBoundAdmitsEveryConfigInUse) {
+  // The largest W in the tree (JVM, W = 200) with the largest beta any
+  // bench or perf workload derives from its eviction period (64).
+  PolicyConfig config = PaperConfig();
+  config.max_checkpoint_request = 200;
+  config.beta = 64;
+  EXPECT_TRUE(config.Validate().ok());
+  // Exactly at the bound is still legal.
+  config.max_checkpoint_request =
+      static_cast<uint32_t>(PolicyConfig::kMaxWeightVectorLength - config.beta - 1);
+  EXPECT_TRUE(config.Validate().ok());
+  EXPECT_EQ(config.WeightVectorLength(), PolicyConfig::kMaxWeightVectorLength);
 }
 
 }  // namespace

@@ -463,13 +463,109 @@ TEST(SnapshotStoreTest, FleetDigestsBitIdenticalFlatVsDedupUnderChaos) {
   dedup_lazy_cdc.chunker.cdc = true;
   dedup_lazy_cdc.lazy_restore = true;
 
-  const uint32_t golden = run(1, flat);
-  ASSERT_NE(golden, 0u);
+  // Pinned literal: flat and dedup now share one fault decorator, so
+  // agreeing with each other alone would not catch a shifted trajectory.
+  const uint32_t golden = 0x263de0c3u;
   for (const uint32_t threads : {1u, 2u, 8u}) {
     EXPECT_EQ(run(threads, flat), golden) << "flat, threads=" << threads;
     EXPECT_EQ(run(threads, dedup), golden) << "dedup, threads=" << threads;
     EXPECT_EQ(run(threads, dedup_lazy_cdc), golden)
         << "dedup+cdc+lazy, threads=" << threads;
+  }
+}
+
+
+// Storage chaos pinned to literal digests: torn writes, metadata faults, a
+// store-domain outage window, and a store-domain latency window, at every
+// topology. Flat and dedup builds must both reproduce the pinned value, so a
+// change to the fault decorators that shifts the trajectory of either build
+// fails here even when the two builds still agree with each other. (The
+// simulation issues no metadata ops, so the metadata case pins the get-fault
+// draws; tests/fault_injection_test.cc pins metadata draws directly.)
+struct StorageChaosCase {
+  const char* label;
+  FaultPlan plan;
+  uint32_t single;
+  uint32_t platform;
+  uint32_t fleet;
+};
+
+FaultWindow StoreWindow(FaultWindow::Kind kind) {
+  FaultWindow window;
+  window.kind = kind;
+  window.domain = FaultDomain::kObjectStore;
+  window.start = TimePoint();
+  window.end = TimePoint() + Duration::Seconds(5);
+  window.extra_latency = Duration::Millis(250);
+  return window;
+}
+
+std::vector<StorageChaosCase> StorageChaosCases() {
+  FaultPlan torn;
+  torn.torn_write_rate = 0.1;
+  torn.corruption_rate = 0.05;
+  torn.put_failure_rate = 0.05;
+  FaultPlan metadata;
+  metadata.metadata_failure_rate = 0.5;
+  metadata.get_failure_rate = 0.1;
+  FaultPlan outage;
+  outage.windows.push_back(StoreWindow(FaultWindow::Kind::kOutage));
+  FaultPlan latency;
+  latency.windows.push_back(StoreWindow(FaultWindow::Kind::kLatency));
+  return {
+      {"torn", torn, 0x71fb4fc9u, 0x0ab87a87u, 0xf12f0bf7u},
+      {"metadata", metadata, 0x3bbc021cu, 0x56f9c9d8u, 0x43ddc670u},
+      {"store-outage", outage, 0x8dd84eabu, 0xcafb4712u, 0xa22d65d4u},
+      {"store-latency", latency, 0xb8b0a0beu, 0x9120c161u, 0xe9b398ddu},
+  };
+}
+
+TEST(SnapshotStoreTest, StorageChaosDigestsMatchPinnedGoldens) {
+  const auto profile = WorkloadRegistry::Default().Find("DynamicHTML");
+  ASSERT_TRUE(profile.ok());
+  const auto policy = RequestCentricPolicy::Create(RecoveryConfig());
+  ASSERT_TRUE(policy.ok());
+
+  std::vector<SimFunctionSpec> specs;
+  for (int f = 0; f < 4; ++f) {
+    SimFunctionSpec spec;
+    spec.name = "fn" + std::to_string(f);
+    spec.profile = *profile;
+    spec.policy = &*policy;
+    spec.requests = 60;
+    specs.push_back(std::move(spec));
+  }
+
+  for (const StorageChaosCase& chaos : StorageChaosCases()) {
+    for (const bool dedup : {false, true}) {
+      const std::string where =
+          std::string(chaos.label) + (dedup ? " dedup" : " flat");
+      const auto expect = [&](SimTopology topology, uint32_t threads,
+                              uint32_t golden) {
+        SimOptions options;
+        options.seed = 21;
+        options.threads = threads;
+        options.worker_slots = 2;
+        options.exploring_slots = 1;
+        options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
+        options.eviction.k = 4;
+        options.store = dedup ? DedupOptions() : SnapshotStoreOptions{};
+        options.faults = chaos.plan;
+        const size_t count = topology == SimTopology::kSingle ? 1 : specs.size();
+        auto report = Simulate(WorkloadRegistry::Default(), topology,
+                               std::span<const SimFunctionSpec>(specs.data(), count),
+                               options);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        EXPECT_EQ(report->Digest(), golden) << where << " threads=" << threads;
+        // The plan must actually inject something into this run.
+        EXPECT_GT(report->faults.store_faults + report->faults.latency_injections, 0u)
+            << where;
+      };
+      expect(SimTopology::kSingle, 1, chaos.single);
+      expect(SimTopology::kPlatform, 1, chaos.platform);
+      expect(SimTopology::kFleet, 1, chaos.fleet);
+      expect(SimTopology::kFleet, 4, chaos.fleet);
+    }
   }
 }
 

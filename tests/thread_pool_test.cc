@@ -230,25 +230,5 @@ TEST(ThreadPoolTest, ParallelForCallerAssistsWhileWorkersBlocked) {
   slow.get();
 }
 
-TEST(ThreadPoolTest, OptionsConstructorHonorsThreadCount) {
-  ThreadPoolOptions options;
-  options.threads = 2;
-  ThreadPool pool(options);
-  EXPECT_EQ(pool.thread_count(), 2u);
-}
-
-TEST(ThreadPoolTest, PinnedPoolRunsWorkNormally) {
-  // Pinning is a scheduling hint; on any platform (supported or not) the
-  // pool must behave identically from the caller's perspective.
-  ThreadPoolOptions options;
-  options.threads = 2;
-  options.pin_threads = true;
-  ThreadPool pool(options);
-  std::atomic<int> counter{0};
-  pool.ParallelFor(200, [&counter](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 200);
-  EXPECT_EQ(pool.Submit([]() { return 5; }).get(), 5);
-}
-
 }  // namespace
 }  // namespace pronghorn

@@ -32,19 +32,26 @@
 // --histogram prints latency histograms to stdout. None of these change the
 // simulation: digests are bit-identical with observability on or off.
 //
-// The --seed/--engine/--no-noise/--fault-* flags mean the same thing in all
-// three modes and are parsed once (ParseCommonSimOptions).
+// The --seed/--engine/--eviction/--no-noise/--fault-* flags mean the same
+// thing in all three modes and are parsed once, straight into the SimOptions
+// every mode hands to Simulate() (ParseSimOptions).
 //
 // Policies: cold | after-first | request-centric | stop-condition
 // Eviction: integer k (every-k), "geometric:<mean>", or "idle:<seconds>".
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -66,44 +73,92 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// One eviction-spec grammar for every mode; each deployment instantiates its
-// own model from its sub-seed inside Simulate().
-Result<FleetEvictionSpec> ParseEvictionSpec(const std::string& spec) {
-  FleetEvictionSpec parsed;
-  if (spec.rfind("geometric:", 0) == 0) {
-    parsed.kind = FleetEvictionSpec::Kind::kGeometric;
-    parsed.mean_requests = std::strtod(spec.c_str() + 10, nullptr);
-    if (parsed.mean_requests < 1.0) {
-      return InvalidArgumentError("geometric mean must be >= 1");
+// Parses all of `text` as a T; nullopt on anything else (an empty string,
+// trailing garbage, a sign an unsigned T cannot hold, overflow, inf, nan).
+template <typename T>
+std::optional<T> ParseWhole(std::string_view text) {
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return std::nullopt;
     }
+  }
+  return value;
+}
+
+// One eviction-spec grammar for every mode; each deployment instantiates its
+// own model from its sub-seed inside Simulate(). Strict: the whole token must
+// parse and the value must be positive.
+Result<FleetEvictionSpec> ParseEvictionSpec(std::string_view spec) {
+  FleetEvictionSpec parsed;
+  if (spec.starts_with("geometric:")) {
+    const std::optional<double> mean = ParseWhole<double>(spec.substr(10));
+    if (!mean.has_value() || *mean < 1.0) {
+      return InvalidArgumentError("geometric mean must be a number >= 1, got '" +
+                                  std::string(spec) + "'");
+    }
+    parsed.kind = FleetEvictionSpec::Kind::kGeometric;
+    parsed.mean_requests = *mean;
     return parsed;
   }
-  if (spec.rfind("idle:", 0) == 0) {
-    const double seconds = std::strtod(spec.c_str() + 5, nullptr);
-    if (seconds <= 0) {
-      return InvalidArgumentError("idle timeout must be positive");
+  if (spec.starts_with("idle:")) {
+    const std::optional<double> seconds = ParseWhole<double>(spec.substr(5));
+    if (!seconds.has_value() || *seconds <= 0) {
+      return InvalidArgumentError("idle timeout must be a positive number, got '" +
+                                  std::string(spec) + "'");
     }
     parsed.kind = FleetEvictionSpec::Kind::kIdleTimeout;
-    parsed.idle_timeout = Duration::Seconds(seconds);
+    parsed.idle_timeout = Duration::Seconds(*seconds);
     return parsed;
   }
-  parsed.kind = FleetEvictionSpec::Kind::kEveryK;
-  parsed.k = std::strtoull(spec.c_str(), nullptr, 10);
-  if (parsed.k == 0) {
-    return InvalidArgumentError("eviction k must be >= 1");
+  const std::optional<uint64_t> k = ParseWhole<uint64_t>(spec);
+  if (!k.has_value() || *k == 0) {
+    return InvalidArgumentError(
+        "--eviction must be a positive integer k, geometric:<mean>, or "
+        "idle:<seconds>; got '" +
+        std::string(spec) + "'");
   }
+  parsed.kind = FleetEvictionSpec::Kind::kEveryK;
+  parsed.k = *k;
   return parsed;
+}
+
+// The every-k eviction period, or 0 for the other eviction kinds.
+uint64_t EvictionK(const FleetEvictionSpec& eviction) {
+  return eviction.kind == FleetEvictionSpec::Kind::kEveryK ? eviction.k : 0;
+}
+
+// Reads an integer flag that must lie in [min, UINT32_MAX]: a range check,
+// not a cast, so a negative value is an error instead of a wrapped one.
+Result<uint32_t> GetUint32Flag(const FlagParser& flags, const std::string& name,
+                               uint32_t min) {
+  PRONGHORN_ASSIGN_OR_RETURN(const int64_t value, flags.GetInt(name));
+  if (value < min || value > std::numeric_limits<uint32_t>::max()) {
+    return InvalidArgumentError("--" + name + " must be in [" + std::to_string(min) +
+                                ", 4294967295], got " + std::to_string(value));
+  }
+  return static_cast<uint32_t>(value);
 }
 
 Result<PolicyConfig> MakeConfig(const WorkloadProfile& profile, const FlagParser& flags,
                                 uint64_t eviction_k) {
   PolicyConfig config;
-  config.beta = static_cast<uint32_t>(*flags.GetInt("beta"));
+  PRONGHORN_ASSIGN_OR_RETURN(config.beta, GetUint32Flag(flags, "beta", 0));
   if (config.beta == 0) {
-    config.beta = eviction_k > 0 ? static_cast<uint32_t>(eviction_k) : 4;
+    // Derived from the eviction period; saturates rather than wraps, so an
+    // oversized k fails Validate() instead of aliasing to a small beta.
+    config.beta = eviction_k == 0
+                      ? 4
+                      : static_cast<uint32_t>(std::min<uint64_t>(
+                            eviction_k, std::numeric_limits<uint32_t>::max()));
   }
-  config.pool_capacity = static_cast<uint32_t>(*flags.GetInt("pool"));
-  config.max_checkpoint_request = static_cast<uint32_t>(*flags.GetInt("w"));
+  PRONGHORN_ASSIGN_OR_RETURN(config.pool_capacity, GetUint32Flag(flags, "pool", 1));
+  PRONGHORN_ASSIGN_OR_RETURN(config.max_checkpoint_request,
+                             GetUint32Flag(flags, "w", 0));
   if (config.max_checkpoint_request == 0) {
     config.max_checkpoint_request = profile.family == RuntimeFamily::kJvm ? 200 : 100;
   }
@@ -307,21 +362,6 @@ Result<FaultPlan> ParseFaultPlan(const FlagParser& flags) {
   return plan;
 }
 
-// The flags every mode shares: --seed, --engine, --no-noise, and the whole
-// --fault-* family. Parsed once so single, fleet, and platform runs cannot
-// drift apart in how they interpret them.
-struct CommonSimOptions {
-  uint64_t seed = 1;
-  EngineKind engine_kind = EngineKind::kCriuLike;
-  bool input_noise = true;
-  bool state_cache = true;
-  FaultPlan faults;
-  SnapshotStoreOptions store;
-  ServiceModeOptions service;
-  RetentionOptions retention;
-  SimCheckpointOptions sim_checkpoint;
-};
-
 // --store / --chunk-size / --cdc / --lazy-restore → SnapshotStoreOptions.
 // Chunk-granular knobs require --store=dedup: on a flat build they would
 // silently do nothing, which reads as a measurement when it is a typo.
@@ -352,28 +392,35 @@ Result<SnapshotStoreOptions> ParseStoreOptions(const FlagParser& flags) {
   return store;
 }
 
-Result<CommonSimOptions> ParseCommonSimOptions(const FlagParser& flags) {
-  CommonSimOptions common;
+// The flags every mode shares: --seed, --engine, --eviction, --no-noise, the
+// store and service knobs, and the whole --fault-* family. Parsed once,
+// straight into the SimOptions each mode passes to Simulate(), so single,
+// fleet, and platform runs cannot drift apart in how they interpret them.
+// Each mode then sets only its topology fields.
+Result<SimOptions> ParseSimOptions(const FlagParser& flags) {
+  SimOptions options;
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t seed, flags.GetInt("seed"));
-  common.seed = static_cast<uint64_t>(seed);
+  options.seed = static_cast<uint64_t>(seed);
   const std::string engine_name = *flags.GetString("engine");
   if (engine_name == "delta") {
-    common.engine_kind = EngineKind::kDelta;
+    options.engine_kind = EngineKind::kDelta;
   } else if (engine_name != "criu") {
     return InvalidArgumentError("unknown engine '" + engine_name + "'");
   }
-  common.input_noise = !flags.GetBool("no-noise").value_or(false);
-  common.state_cache = !flags.GetBool("no-state-cache").value_or(false);
-  PRONGHORN_ASSIGN_OR_RETURN(common.faults, ParseFaultPlan(flags));
-  PRONGHORN_ASSIGN_OR_RETURN(common.store, ParseStoreOptions(flags));
-  if ((common.faults.chunk_corruption_rate > 0 ||
-       common.faults.manifest_corruption_rate > 0) &&
-      common.store.kind != SnapshotStoreOptions::Kind::kDedup) {
+  PRONGHORN_ASSIGN_OR_RETURN(options.eviction,
+                             ParseEvictionSpec(*flags.GetString("eviction")));
+  options.input_noise = !flags.GetBool("no-noise").value_or(false);
+  options.state_cache = !flags.GetBool("no-state-cache").value_or(false);
+  PRONGHORN_ASSIGN_OR_RETURN(options.faults, ParseFaultPlan(flags));
+  PRONGHORN_ASSIGN_OR_RETURN(options.store, ParseStoreOptions(flags));
+  if ((options.faults.chunk_corruption_rate > 0 ||
+       options.faults.manifest_corruption_rate > 0) &&
+      options.store.kind != SnapshotStoreOptions::Kind::kDedup) {
     return InvalidArgumentError(
         "--fault-chunk-corrupt and --fault-manifest-corrupt require "
         "--store=dedup");
   }
-  common.service.enabled = flags.GetBool("service").value_or(false);
+  options.service.enabled = flags.GetBool("service").value_or(false);
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t shards, flags.GetInt("service-shards"));
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t batch, flags.GetInt("service-batch"));
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t flush_ms, flags.GetInt("flush-interval"));
@@ -382,78 +429,78 @@ Result<CommonSimOptions> ParseCommonSimOptions(const FlagParser& flags) {
         "--service-shards and --service-batch must be positive, "
         "--flush-interval non-negative");
   }
-  common.service.shards = static_cast<uint32_t>(shards);
-  common.service.max_batch = static_cast<uint32_t>(batch);
-  common.service.flush_interval = Duration::Millis(flush_ms);
+  options.service.shards = static_cast<uint32_t>(shards);
+  options.service.max_batch = static_cast<uint32_t>(batch);
+  options.service.flush_interval = Duration::Millis(flush_ms);
 
   // Crash-tolerance knobs: all three require --service (they configure the
   // live service, which otherwise does not exist), and a crash/stall plan
   // naming a shard the topology does not have is a hard configuration error —
   // a fault that can never fire is a typo, not chaos.
-  common.service.journal_dir = *flags.GetString("journal-dir");
+  options.service.journal_dir = *flags.GetString("journal-dir");
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t shed_ms, flags.GetInt("shed-deadline"));
   if (shed_ms < 0) {
     return InvalidArgumentError("--shed-deadline must be non-negative");
   }
-  common.service.shed_deadline_ms = static_cast<uint32_t>(shed_ms);
-  PRONGHORN_ASSIGN_OR_RETURN(common.faults.service.crashes,
+  options.service.shed_deadline_ms = static_cast<uint32_t>(shed_ms);
+  PRONGHORN_ASSIGN_OR_RETURN(options.faults.service.crashes,
                              ParseCrashPlan(*flags.GetString("crash-plan")));
-  PRONGHORN_ASSIGN_OR_RETURN(common.faults.service.stalls,
+  PRONGHORN_ASSIGN_OR_RETURN(options.faults.service.stalls,
                              ParseStallPlan(*flags.GetString("stall-plan")));
-  if (!common.service.enabled &&
-      (!common.service.journal_dir.empty() || common.service.shed_deadline_ms > 0 ||
-       common.faults.service.Active())) {
+  if (!options.service.enabled &&
+      (!options.service.journal_dir.empty() || options.service.shed_deadline_ms > 0 ||
+       options.faults.service.Active())) {
     return InvalidArgumentError(
         "--journal-dir, --shed-deadline, --crash-plan, and --stall-plan "
         "require --service");
   }
-  if (common.faults.service.Active() &&
-      common.faults.service.MaxShardNamed() >= common.service.shards) {
+  if (options.faults.service.Active() &&
+      options.faults.service.MaxShardNamed() >= options.service.shards) {
     return InvalidArgumentError(
         "crash/stall plan names shard " +
-        std::to_string(common.faults.service.MaxShardNamed()) +
-        " but the service only has " + std::to_string(common.service.shards) +
-        " shards (0-" + std::to_string(common.service.shards - 1) + ")");
+        std::to_string(options.faults.service.MaxShardNamed()) +
+        " but the service only has " + std::to_string(options.service.shards) +
+        " shards (0-" + std::to_string(options.service.shards - 1) + ")");
   }
-  if (!common.service.journal_dir.empty()) {
+  if (!options.service.journal_dir.empty()) {
     std::error_code ec;
-    std::filesystem::create_directories(common.service.journal_dir, ec);
+    std::filesystem::create_directories(options.service.journal_dir, ec);
     if (ec) {
       return InvalidArgumentError("cannot create --journal-dir '" +
-                                  common.service.journal_dir + "': " + ec.message());
+                                  options.service.journal_dir + "': " + ec.message());
     }
   }
 
   // Streaming retention + resumable-checkpoint knobs.
-  PRONGHORN_ASSIGN_OR_RETURN(common.retention.mode,
+  PRONGHORN_ASSIGN_OR_RETURN(options.retention.mode,
                              ParseRetention(*flags.GetString("retention")));
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t retention_k,
                              flags.GetInt("retention-k"));
   if (retention_k <= 0) {
     return InvalidArgumentError("--retention-k must be positive");
   }
-  common.retention.k = static_cast<uint64_t>(retention_k);
-  common.retention.seed = common.seed;
-  common.sim_checkpoint.dir = *flags.GetString("sim-checkpoint-dir");
+  options.retention.k = static_cast<uint64_t>(retention_k);
+  options.retention.seed = options.seed;
+  options.sim_checkpoint.dir = *flags.GetString("sim-checkpoint-dir");
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t ckpt_every,
                              flags.GetInt("sim-checkpoint-every"));
   if (ckpt_every <= 0) {
     return InvalidArgumentError("--sim-checkpoint-every must be positive");
   }
-  common.sim_checkpoint.every = static_cast<uint64_t>(ckpt_every);
-  common.sim_checkpoint.resume = flags.GetBool("resume").value_or(false);
-  if (common.sim_checkpoint.resume && common.sim_checkpoint.dir.empty()) {
+  options.sim_checkpoint.every = static_cast<uint64_t>(ckpt_every);
+  options.sim_checkpoint.resume = flags.GetBool("resume").value_or(false);
+  if (options.sim_checkpoint.resume && options.sim_checkpoint.dir.empty()) {
     return InvalidArgumentError("--resume requires --sim-checkpoint-dir");
   }
-  if (!common.sim_checkpoint.dir.empty()) {
+  if (!options.sim_checkpoint.dir.empty()) {
     std::error_code ec;
-    std::filesystem::create_directories(common.sim_checkpoint.dir, ec);
+    std::filesystem::create_directories(options.sim_checkpoint.dir, ec);
     if (ec) {
       return InvalidArgumentError("cannot create --sim-checkpoint-dir '" +
-                                  common.sim_checkpoint.dir + "': " + ec.message());
+                                  options.sim_checkpoint.dir + "': " + ec.message());
     }
   }
-  return common;
+  return options;
 }
 
 Result<uint32_t> ParseThreads(const FlagParser& flags) {
@@ -544,8 +591,15 @@ struct OwnedPolicy {
   std::unique_ptr<RequestCentricPolicy> inner;
 };
 
-Result<OwnedPolicy> BuildPolicy(const std::string& name, const PolicyConfig& config,
-                                uint64_t explore_budget) {
+// Builds the --policy policy; --explore-budget sizes stop-condition's
+// exploration (0 = the paper's W + 100 bound).
+Result<OwnedPolicy> BuildPolicy(const FlagParser& flags, const PolicyConfig& config) {
+  const std::string name = *flags.GetString("policy");
+  PRONGHORN_ASSIGN_OR_RETURN(const int64_t explore_budget,
+                             flags.GetInt("explore-budget"));
+  if (explore_budget < 0) {
+    return InvalidArgumentError("--explore-budget must be non-negative");
+  }
   OwnedPolicy owned;
   if (name == "cold") {
     owned.policy = std::make_unique<ColdStartPolicy>(config);
@@ -557,7 +611,7 @@ Result<OwnedPolicy> BuildPolicy(const std::string& name, const PolicyConfig& con
       owned.policy = std::make_unique<RequestCentricPolicy>(std::move(rc));
     } else {
       owned.inner = std::make_unique<RequestCentricPolicy>(std::move(rc));
-      uint64_t budget = explore_budget;
+      uint64_t budget = static_cast<uint64_t>(explore_budget);
       if (budget == 0) {
         budget = config.max_checkpoint_request + 100;  // The paper's bound.
       }
@@ -598,7 +652,6 @@ Result<std::vector<SimFunctionSpec>> BuildEvaluationSpecs(
     uint64_t eviction_k, bool unique_names,
     std::vector<OwnedPolicy>& policies, const ArrivalMix* mix = nullptr) {
   const auto evaluation = WorkloadRegistry::Default().EvaluationSet();
-  const std::string policy_name = *flags.GetString("policy");
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t seed, flags.GetInt("seed"));
   std::vector<SimFunctionSpec> specs;
   specs.reserve(static_cast<size_t>(count));
@@ -608,10 +661,7 @@ Result<std::vector<SimFunctionSpec>> BuildEvaluationSpecs(
         *evaluation[static_cast<size_t>(i) % evaluation.size()];
     PRONGHORN_ASSIGN_OR_RETURN(PolicyConfig config,
                                MakeConfig(profile, flags, eviction_k));
-    PRONGHORN_ASSIGN_OR_RETURN(
-        OwnedPolicy policy,
-        BuildPolicy(policy_name, config,
-                    static_cast<uint64_t>(*flags.GetInt("explore-budget"))));
+    PRONGHORN_ASSIGN_OR_RETURN(OwnedPolicy policy, BuildPolicy(flags, config));
     policies.push_back(std::move(policy));
 
     SimFunctionSpec spec;
@@ -636,8 +686,7 @@ Result<std::vector<SimFunctionSpec>> BuildEvaluationSpecs(
   return specs;
 }
 
-int RunFleet(const FlagParser& flags, const CommonSimOptions& common,
-             uint64_t requests) {
+int RunFleet(const FlagParser& flags, SimOptions options, uint64_t requests) {
   const int64_t fleet_size = *flags.GetInt("fleet");
   const int64_t slots = *flags.GetInt("slots");
   const int64_t exploring = *flags.GetInt("exploring");
@@ -648,27 +697,7 @@ int RunFleet(const FlagParser& flags, const CommonSimOptions& common,
   if (slots <= 0 || exploring < 0) {
     return Fail(InvalidArgumentError("--slots must be > 0 and --exploring >= 0"));
   }
-  const std::string eviction_spec = *flags.GetString("eviction");
-  auto eviction = ParseEvictionSpec(eviction_spec);
-  if (!eviction.ok()) {
-    return Fail(eviction.status());
-  }
-  const uint64_t eviction_k =
-      eviction->kind == FleetEvictionSpec::Kind::kEveryK ? eviction->k : 0;
-
-  SimOptions options;
-  options.seed = common.seed;
   options.threads = *threads;
-  options.pin_threads = *flags.GetBool("pin-threads");
-  options.engine_kind = common.engine_kind;
-  options.input_noise = common.input_noise;
-  options.state_cache = common.state_cache;
-  options.eviction = *eviction;
-  options.faults = common.faults;
-  options.store = common.store;
-  options.service = common.service;
-  options.retention = common.retention;
-  options.sim_checkpoint = common.sim_checkpoint;
   options.worker_slots = static_cast<uint32_t>(slots);
   options.exploring_slots = static_cast<uint32_t>(exploring);
 
@@ -677,7 +706,8 @@ int RunFleet(const FlagParser& flags, const CommonSimOptions& common,
     return Fail(mix.status());
   }
   std::vector<OwnedPolicy> policies;
-  auto specs = BuildEvaluationSpecs(flags, fleet_size, requests, eviction_k,
+  auto specs = BuildEvaluationSpecs(flags, fleet_size, requests,
+                                    EvictionK(options.eviction),
                                     /*unique_names=*/true, policies, &*mix);
   if (!specs.ok()) {
     return Fail(specs.status());
@@ -693,13 +723,13 @@ int RunFleet(const FlagParser& flags, const CommonSimOptions& common,
   const std::string policy_name = *flags.GetString("policy");
   std::printf("fleet=%lld policy=%s eviction=%s threads=%u mix=%s\n",
               static_cast<long long>(fleet_size), policy_name.c_str(),
-              eviction_spec.c_str(), effective_threads,
+              flags.GetString("eviction")->c_str(), effective_threads,
               std::string(ArrivalMixName(*mix)).c_str());
   if (report->retention != ReportRetention::kAll) {
     std::printf("retention=%s k=%llu functions=%llu invocations=%llu "
                 "(per-function detail decimated; digest covers all)\n",
                 std::string(RetentionLabel(report->retention)).c_str(),
-                static_cast<unsigned long long>(common.retention.k),
+                static_cast<unsigned long long>(options.retention.k),
                 static_cast<unsigned long long>(report->functions_total),
                 static_cast<unsigned long long>(report->invocations_total));
   }
@@ -762,14 +792,9 @@ int RunFleet(const FlagParser& flags, const CommonSimOptions& common,
   return 0;
 }
 
-int RunPlatform(const FlagParser& flags, const CommonSimOptions& common,
+int RunPlatform(const FlagParser& flags, const SimOptions& options,
                 uint64_t requests) {
   const int64_t platform_size = *flags.GetInt("platform");
-  const std::string eviction_spec = *flags.GetString("eviction");
-  auto eviction = ParseEvictionSpec(eviction_spec);
-  if (!eviction.ok()) {
-    return Fail(eviction.status());
-  }
   const auto evaluation = WorkloadRegistry::Default().EvaluationSet();
   if (platform_size > static_cast<int64_t>(evaluation.size())) {
     // Platform deployments are keyed by profile name, so each evaluation
@@ -778,22 +803,10 @@ int RunPlatform(const FlagParser& flags, const CommonSimOptions& common,
         "--platform must be <= " + std::to_string(evaluation.size()) +
         " (the evaluation set; deployments are keyed by function name)"));
   }
-  const uint64_t eviction_k =
-      eviction->kind == FleetEvictionSpec::Kind::kEveryK ? eviction->k : 0;
-
-  SimOptions options;
-  options.seed = common.seed;
-  options.engine_kind = common.engine_kind;
-  options.input_noise = common.input_noise;
-  options.state_cache = common.state_cache;
-  options.eviction = *eviction;
-  options.faults = common.faults;
-  options.store = common.store;
-  options.service = common.service;
-  options.sim_checkpoint = common.sim_checkpoint;
 
   std::vector<OwnedPolicy> policies;
-  auto specs = BuildEvaluationSpecs(flags, platform_size, requests, eviction_k,
+  auto specs = BuildEvaluationSpecs(flags, platform_size, requests,
+                                    EvictionK(options.eviction),
                                     /*unique_names=*/false, policies);
   if (!specs.ok()) {
     return Fail(specs.status());
@@ -808,7 +821,7 @@ int RunPlatform(const FlagParser& flags, const CommonSimOptions& common,
   const std::string policy_name = *flags.GetString("policy");
   std::printf("platform=%lld policy=%s eviction=%s\n",
               static_cast<long long>(platform_size), policy_name.c_str(),
-              eviction_spec.c_str());
+              flags.GetString("eviction")->c_str());
   std::printf("requests=%zu p50_us=%.0f p90_us=%.0f p99_us=%.0f lifetimes=%llu "
               "checkpoints=%llu digest=%08x\n",
               report->latency.count(), report->latency.Quantile(50),
@@ -816,7 +829,7 @@ int RunPlatform(const FlagParser& flags, const CommonSimOptions& common,
               static_cast<unsigned long long>(report->worker_lifetimes),
               static_cast<unsigned long long>(report->checkpoints),
               report->Digest());
-  if (common.faults.Active()) {
+  if (options.faults.Active()) {
     PrintFaultLine(report->faults);
   }
   for (const auto& [function, function_report] : report->per_function) {
@@ -831,47 +844,26 @@ int RunPlatform(const FlagParser& flags, const CommonSimOptions& common,
   return 0;
 }
 
-int RunSingle(const FlagParser& flags, const CommonSimOptions& common,
-              uint64_t requests) {
+int RunSingle(const FlagParser& flags, SimOptions options, uint64_t requests) {
   const std::string benchmark = *flags.GetString("benchmark");
   auto profile = WorkloadRegistry::Default().Find(benchmark);
   if (!profile.ok()) {
     return Fail(profile.status());
   }
 
-  const std::string eviction_spec = *flags.GetString("eviction");
-  auto eviction = ParseEvictionSpec(eviction_spec);
-  if (!eviction.ok()) {
-    return Fail(eviction.status());
-  }
-  const uint64_t eviction_k =
-      eviction->kind == FleetEvictionSpec::Kind::kEveryK ? eviction->k : 0;
-  auto config = MakeConfig(**profile, flags, eviction_k);
+  auto config = MakeConfig(**profile, flags, EvictionK(options.eviction));
   if (!config.ok()) {
     return Fail(config.status());
   }
 
-  const std::string policy_name = *flags.GetString("policy");
-  auto owned_policy =
-      BuildPolicy(policy_name, *config,
-                  static_cast<uint64_t>(*flags.GetInt("explore-budget")));
+  auto owned_policy = BuildPolicy(flags, *config);
   if (!owned_policy.ok()) {
     return Fail(owned_policy.status());
   }
 
-  SimOptions options;
-  options.seed = common.seed;
-  options.engine_kind = common.engine_kind;
-  options.input_noise = common.input_noise;
-  options.state_cache = common.state_cache;
-  options.faults = common.faults;
-  options.store = common.store;
-  options.service = common.service;
-  options.sim_checkpoint = common.sim_checkpoint;
   // Single-function topology: one worker slot.
   options.worker_slots = 1;
   options.exploring_slots = 1;
-  options.eviction = *eviction;
 
   SimFunctionSpec spec;
   spec.name = benchmark;
@@ -887,8 +879,9 @@ int RunSingle(const FlagParser& flags, const CommonSimOptions& common,
     return Fail(report.status());
   }
 
-  std::printf("%s policy=%s eviction=%s\n%s\n", benchmark.c_str(), policy_name.c_str(),
-              eviction_spec.c_str(), SummarizeReport(report->flat()).c_str());
+  std::printf("%s policy=%s eviction=%s\n%s\n", benchmark.c_str(),
+              flags.GetString("policy")->c_str(), flags.GetString("eviction")->c_str(),
+              SummarizeReport(report->flat()).c_str());
 
   const std::string csv_path = *flags.GetString("csv");
   if (!csv_path.empty()) {
@@ -936,9 +929,6 @@ int main(int argc, char** argv) {
   flags.AddFlag("threads", "0",
                 "fleet shard threads (0 = hardware concurrency); results are "
                 "bit-identical for any value");
-  flags.AddSwitch("pin-threads",
-                  "pin fleet shard threads to cores (Linux; scheduling-only, "
-                  "results are bit-identical with or without)");
   flags.AddFlag("slots", "4", "fleet: worker slots per function");
   flags.AddFlag("exploring", "1", "fleet: exploring slots per function");
   flags.AddFlag("csv", "", "write per-request records to this CSV file");
@@ -1059,9 +1049,9 @@ int main(int argc, char** argv) {
   if (!requests.ok() || !seed.ok() || *requests <= 0) {
     return Fail(InvalidArgumentError("--requests and --seed must be positive ints"));
   }
-  auto common = ParseCommonSimOptions(flags);
-  if (!common.ok()) {
-    return Fail(common.status());
+  auto options = ParseSimOptions(flags);
+  if (!options.ok()) {
+    return Fail(options.status());
   }
 
   auto fleet_size = flags.GetInt("fleet");
@@ -1073,15 +1063,15 @@ int main(int argc, char** argv) {
   if (*fleet_size > 0 && *platform_size > 0) {
     return Fail(InvalidArgumentError("--fleet and --platform are mutually exclusive"));
   }
-  if (common->retention.mode != ReportRetention::kAll && *fleet_size == 0) {
+  if (options->retention.mode != ReportRetention::kAll && *fleet_size == 0) {
     return Fail(InvalidArgumentError(
         "--retention modes other than 'all' apply to --fleet runs"));
   }
   if (*fleet_size > 0) {
-    return RunFleet(flags, *common, static_cast<uint64_t>(*requests));
+    return RunFleet(flags, *std::move(options), static_cast<uint64_t>(*requests));
   }
   if (*platform_size > 0) {
-    return RunPlatform(flags, *common, static_cast<uint64_t>(*requests));
+    return RunPlatform(flags, *options, static_cast<uint64_t>(*requests));
   }
-  return RunSingle(flags, *common, static_cast<uint64_t>(*requests));
+  return RunSingle(flags, *std::move(options), static_cast<uint64_t>(*requests));
 }
