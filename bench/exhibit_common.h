@@ -8,16 +8,13 @@
 #define PRONGHORN_BENCH_EXHIBIT_COMMON_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
@@ -25,90 +22,6 @@
 #include "src/platform/simulate.h"
 
 namespace pronghorn::bench {
-
-// --- Measurement discipline -------------------------------------------------
-//
-// Every wall-clock number a bench emits goes through warmup + median-of-N:
-// the first rep(s) pay cold caches, lazy page faults, and branch-predictor
-// training, and any single rep can eat a scheduler preemption. The median is
-// robust to those one-sided outliers where a mean is not; min/max are kept so
-// the JSON records how noisy the machine was (a wide spread says "rerun
-// before trusting a small delta").
-
-struct TimingSample {
-  double median_seconds = 0.0;
-  double min_seconds = 0.0;
-  double max_seconds = 0.0;
-
-  // Half the min..max width as a fraction of the median — the "±" the
-  // comparison tool weighs a delta against.
-  double SpreadFraction() const {
-    if (median_seconds <= 0.0) {
-      return 0.0;
-    }
-    return (max_seconds - min_seconds) / (2.0 * median_seconds);
-  }
-};
-
-// Times `fn` `reps` times after `warmup` untimed runs; returns the median
-// with the min/max envelope. `fn` must be idempotent (each rep repeats the
-// same work).
-template <typename Fn>
-TimingSample MeasureMedianSeconds(int warmup, int reps, Fn&& fn) {
-  for (int i = 0; i < warmup; ++i) {
-    fn();
-  }
-  std::vector<double> seconds;
-  seconds.reserve(static_cast<size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto end = std::chrono::steady_clock::now();
-    seconds.push_back(std::chrono::duration<double>(end - start).count());
-  }
-  std::sort(seconds.begin(), seconds.end());
-  TimingSample sample;
-  sample.min_seconds = seconds.front();
-  sample.max_seconds = seconds.back();
-  sample.median_seconds = seconds[seconds.size() / 2];
-  if (seconds.size() % 2 == 0) {
-    sample.median_seconds =
-        (seconds[seconds.size() / 2 - 1] + seconds[seconds.size() / 2]) / 2.0;
-  }
-  return sample;
-}
-
-// --- Machine metadata -------------------------------------------------------
-//
-// Committed BENCH_*.json baselines are only comparable to reruns on the same
-// class of machine, so every writer stamps what it ran on. A baseline from a
-// 1-core container and a rerun on a 32-core workstation should be visibly
-// incomparable from the JSON alone.
-
-struct MachineInfo {
-  uint32_t hardware_threads = 0;
-  std::string cpu_governor;  // "unknown" when sysfs is unreadable (containers).
-};
-
-inline MachineInfo QueryMachineInfo() {
-  MachineInfo info;
-  info.hardware_threads = ThreadPool::DefaultThreadCount();
-  std::ifstream governor("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
-  if (!governor || !std::getline(governor, info.cpu_governor) ||
-      info.cpu_governor.empty()) {
-    info.cpu_governor = "unknown";
-  }
-  return info;
-}
-
-// Emits `"machine": {...},` (with trailing comma) at `indent`.
-inline void EmitMachineJson(std::FILE* out, const char* indent) {
-  const MachineInfo info = QueryMachineInfo();
-  std::fprintf(out,
-               "%s\"machine\": {\"hardware_threads\": %u, "
-               "\"cpu_governor\": \"%s\"},\n",
-               indent, info.hardware_threads, info.cpu_governor.c_str());
-}
 
 // The evaluation's policy parameters (§5.1 "Orchestration policies"):
 // p = 40%, gamma = 10%, C = 12, W = 100 (PyPy) / 200 (JVM), beta = the

@@ -3,104 +3,18 @@
 // Figure 7 overheads are dominated by database round trips, but the CPU cost
 // of softmax selection, EWMA updates, pool pruning, and snapshot codecs is
 // what a production (non-Python) orchestrator implementation would pay.
+// The vectorized kernels alone (softmax, weight fold) are timed against their
+// scalar references by perf_suite's gated micro_policy_ops rows.
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-
 #include "bench/exhibit_common.h"
 #include "src/checkpoint/criu_like_engine.h"
-#include "src/common/mathutil.h"
 #include "src/core/policy_state_store.h"
 #include "src/store/kv_database.h"
 
 namespace pronghorn::bench {
 namespace {
-
-// --- Vectorized-kernel rows -------------------------------------------------
-//
-// The *ScalarRef rows reimplement the pre-optimization code paths verbatim
-// (allocate-per-call softmax, one-division-at-a-time inverse weights) so the
-// optimized/reference ratio stays measurable against any future change. The
-// optimized rows run the production kernels: allocation-free SoftmaxInto
-// with SIMD max/normalize, and the bulk InverseWeightsInto behind the
-// weight-vector folds. Bit-identity of the two is pinned separately by
-// tests/vector_math_test.cc; these rows measure only speed.
-
-std::vector<double> RandomLogits(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> logits(n);
-  for (double& v : logits) {
-    v = rng.UniformDouble() * 20.0;
-  }
-  return logits;
-}
-
-std::vector<double> SoftmaxScalarReference(std::span<const double> logits,
-                                           double temperature) {
-  std::vector<double> out;
-  if (logits.empty()) {
-    return out;
-  }
-  if (temperature <= 0.0) {
-    temperature = 1.0;
-  }
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  out.reserve(logits.size());
-  double total = 0.0;
-  for (double logit : logits) {
-    const double e = std::exp((logit - max_logit) / temperature);
-    out.push_back(e);
-    total += e;
-  }
-  for (double& p : out) {
-    p /= total;
-  }
-  return out;
-}
-
-void BM_SoftmaxOptimized(benchmark::State& bench_state) {
-  const auto logits = RandomLogits(static_cast<size_t>(bench_state.range(0)), 11);
-  std::vector<double> out(logits.size());
-  for (auto _ : bench_state) {
-    SoftmaxInto(logits, 1.0, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-// 13 = the policy's candidate count (pool capacity 12 + cold start).
-BENCHMARK(BM_SoftmaxOptimized)->Arg(13)->Arg(64)->Arg(512);
-
-void BM_SoftmaxScalarRef(benchmark::State& bench_state) {
-  const auto logits = RandomLogits(static_cast<size_t>(bench_state.range(0)), 11);
-  for (auto _ : bench_state) {
-    auto out = SoftmaxScalarReference(logits, 1.0);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_SoftmaxScalarRef)->Arg(13)->Arg(64)->Arg(512);
-
-void BM_WeightFoldOptimized(benchmark::State& bench_state) {
-  const auto values = RandomLogits(static_cast<size_t>(bench_state.range(0)), 12);
-  std::vector<double> out(values.size());
-  for (auto _ : bench_state) {
-    InverseWeightsInto(values, 0.01, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-// 200 = the JVM learning window W, the length the folds actually scan.
-BENCHMARK(BM_WeightFoldOptimized)->Arg(200)->Arg(1024);
-
-void BM_WeightFoldScalarRef(benchmark::State& bench_state) {
-  const auto values = RandomLogits(static_cast<size_t>(bench_state.range(0)), 12);
-  std::vector<double> out(values.size());
-  for (auto _ : bench_state) {
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = InverseWeight(values[i], 0.01);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_WeightFoldScalarRef)->Arg(200)->Arg(1024);
 
 PolicyState PopulatedState(const PolicyConfig& config, size_t pool_size) {
   PolicyState state(config);

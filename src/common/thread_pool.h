@@ -58,8 +58,8 @@ class ThreadPool {
   // The worker count that actually helps for CPU-bound work: `requested`
   // (0 = default) clamped to the hardware thread count. Oversubscribing
   // CPU-bound shards past the core count only adds context-switch and
-  // cache-thrash overhead — the committed BENCH_fleet_wallclock baseline
-  // measured 4 threads running ~25% *slower* than 1 on a single-core host.
+  // cache-thrash overhead — on a single-core host a fleet run with 4 threads
+  // once measured ~25% *slower* than with 1.
   // Callers treat a --threads request as a parallelism cap, not a demand;
   // results never depend on it (determinism is schedule-independent).
   static uint32_t EffectiveParallelism(uint32_t requested);

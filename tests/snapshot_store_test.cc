@@ -1,5 +1,6 @@
 // The dedup snapshot store battery: legacy-accounting parity with the flat
-// adapter, chunk refcount/GC invariants, lazy-vs-eager byte identity,
+// adapter, chunk refcount/GC invariants, lazy-vs-eager byte identity, the
+// pool-shaped workload's resident-bytes and lazy-storm fetch bounds,
 // pin/zombie semantics, chunk-granular chaos (copy-on-write corruption,
 // manifest CRC), orchestrator-level recovery under chunk faults, and fleet
 // digest bit-identity with the store swapped flat <-> dedup under chaos at
@@ -257,6 +258,109 @@ TEST(SnapshotStoreTest, LazyAndEagerRestoresAreByteIdentical) {
   EXPECT_EQ(ep.bytes_fetched, 3u * 50000u);
   EXPECT_EQ(lp.bytes_fetched, 50000u);
   EXPECT_GT(lp.cache_hits, 0u);
+  EXPECT_TRUE(lazy.CheckInvariants().ok());
+}
+
+// --- Pool-shaped workload ------------------------------------------------
+
+// The checkpoint pool the store is designed for: per function one random
+// base image; every worker re-checkpoints under its own key once per
+// generation, carrying one worker-unique page plus a fresh dirty working set
+// that grows with the generation.
+constexpr size_t kPoolFunctions = 2;
+constexpr size_t kPoolWorkers = 4;
+constexpr size_t kPoolGenerations = 4;
+constexpr size_t kPoolPageBytes = 4096;
+constexpr size_t kPoolImagePages = 64;
+constexpr size_t kPoolDirtyPagesPerGeneration = 2;
+
+std::string PoolKey(size_t function, size_t worker) {
+  return "fn" + std::to_string(function) + "/worker" + std::to_string(worker);
+}
+
+std::vector<uint8_t> PoolImage(const std::vector<uint8_t>& base, size_t function,
+                               size_t worker, size_t generation) {
+  std::vector<uint8_t> image = base;
+  Rng worker_rng(HashCombine(0x50a6e, HashCombine(function, worker)));
+  const size_t worker_page = worker % kPoolImagePages;
+  for (size_t i = 0; i < kPoolPageBytes; ++i) {
+    image[worker_page * kPoolPageBytes + i] = static_cast<uint8_t>(worker_rng.NextUint64());
+  }
+  Rng dirty_rng(HashCombine(function, HashCombine(generation, worker)));
+  for (size_t m = 0; m < kPoolDirtyPagesPerGeneration * generation; ++m) {
+    const size_t page = dirty_rng.UniformUint64(kPoolImagePages);
+    for (size_t i = 0; i < kPoolPageBytes; ++i) {
+      image[page * kPoolPageBytes + i] = static_cast<uint8_t>(dirty_rng.NextUint64());
+    }
+  }
+  return image;
+}
+
+// Fills `store` with every generation of the pool; returns the logical bytes
+// put and leaves the final generation's images in `latest` (indexed by
+// function * kPoolWorkers + worker).
+uint64_t FillPool(SnapshotStore& store, std::vector<std::vector<uint8_t>>& latest) {
+  uint64_t logical = 0;
+  latest.assign(kPoolFunctions * kPoolWorkers, {});
+  for (size_t f = 0; f < kPoolFunctions; ++f) {
+    const auto base = RandomBytes(kPoolImagePages * kPoolPageBytes, 100 + f);
+    for (size_t g = 0; g < kPoolGenerations; ++g) {
+      for (size_t w = 0; w < kPoolWorkers; ++w) {
+        auto image = PoolImage(base, f, w, g);
+        logical += image.size();
+        EXPECT_TRUE(store.PutSnapshot(PoolKey(f, w), Blob(image)).ok());
+        latest[f * kPoolWorkers + w] = std::move(image);
+      }
+    }
+  }
+  return logical;
+}
+
+// Opens and materializes every pool snapshot `rounds` times, checking each
+// read against the image last put; returns the bytes the storm fetched.
+uint64_t RestoreStorm(SnapshotStore& store, const std::vector<std::vector<uint8_t>>& latest,
+                      int rounds) {
+  const uint64_t before = store.accounting().physical.bytes_fetched;
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t f = 0; f < kPoolFunctions; ++f) {
+      for (size_t w = 0; w < kPoolWorkers; ++w) {
+        auto blob = ReadBack(store, PoolKey(f, w));
+        EXPECT_TRUE(blob.ok());
+        if (blob.ok()) {
+          EXPECT_EQ(blob->bytes(), latest[f * kPoolWorkers + w]);
+        }
+      }
+    }
+  }
+  return store.accounting().physical.bytes_fetched - before;
+}
+
+TEST(SnapshotStoreTest, PoolWorkloadHalvesResidentBytesAndLazyStormFetchesLess) {
+  SnapshotStoreOptions options = DedupOptions();
+  options.chunker.chunk_size = kPoolPageBytes;
+  DedupSnapshotStore eager(options);
+  std::vector<std::vector<uint8_t>> latest;
+  const uint64_t logical = FillPool(eager, latest);
+  const uint64_t resident = eager.accounting().physical.bytes_stored;
+  EXPECT_LE(resident * 2, logical);
+
+  // A host chunk cache half the live pool's unique bytes, so the lazy storm
+  // has to evict and prefetch rather than only hit.
+  eager.CollectGarbage();
+  const uint64_t live = eager.accounting().physical.bytes_stored;
+  SnapshotStoreOptions lazy_options = options;
+  lazy_options.lazy_restore = true;
+  lazy_options.chunk_cache_bytes = live / 2;
+  DedupSnapshotStore lazy(lazy_options);
+  std::vector<std::vector<uint8_t>> lazy_latest;
+  ASSERT_EQ(FillPool(lazy, lazy_latest), logical);
+  ASSERT_EQ(lazy_latest, latest);
+
+  const uint64_t eager_fetched = RestoreStorm(eager, latest, 3);
+  const uint64_t lazy_fetched = RestoreStorm(lazy, latest, 3);
+  EXPECT_LT(lazy_fetched, eager_fetched);
+  EXPECT_GT(lazy.accounting().physical.cache_hits, 0u);
+  EXPECT_TRUE(eager.CheckInvariants().ok());
   EXPECT_TRUE(lazy.CheckInvariants().ok());
 }
 
