@@ -21,23 +21,15 @@ constexpr uint32_t kTrueMeanLifetime = 8;
 constexpr uint64_t kRequests = 500;
 
 void Row(const WorkloadProfile& profile, uint32_t assumed_beta, bool geometric) {
-  PolicyConfig config = PaperConfig(profile, kTrueMeanLifetime);
+  PolicyConfig config = PaperPolicyConfig(profile, kTrueMeanLifetime);
   config.beta = assumed_beta;
-  const auto policy = MakePolicy(PolicyKind::kRequestCentric, config);
+  const auto policy = MustValue(MakePolicy("request-centric", config));
 
   std::unique_ptr<EvictionModel> eviction;
   if (geometric) {
-    auto model = GeometricEviction::Create(kTrueMeanLifetime, /*seed=*/55);
-    if (!model.ok()) {
-      std::exit(1);
-    }
-    eviction = *std::move(model);
+    eviction = MustValue(GeometricEviction::Create(kTrueMeanLifetime, /*seed=*/55));
   } else {
-    auto model = EveryKRequestsEviction::Create(kTrueMeanLifetime);
-    if (!model.ok()) {
-      std::exit(1);
-    }
-    eviction = *std::move(model);
+    eviction = MustValue(EveryKRequestsEviction::Create(kTrueMeanLifetime));
   }
 
   SimOptions options;

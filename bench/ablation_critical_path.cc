@@ -20,10 +20,8 @@ void Section(const char* benchmark, uint32_t eviction_k) {
   std::printf("\n%s, eviction every %u request(s):\n", benchmark, eviction_k);
   for (bool on_path : {false, true}) {
     std::printf("  startup %s critical path:\n", on_path ? "ON" : "off");
-    for (PolicyKind kind :
-         {PolicyKind::kCold, PolicyKind::kAfterFirst, PolicyKind::kRequestCentric}) {
-      const PolicyConfig config = PaperConfig(profile, eviction_k);
-      const auto policy = MakePolicy(kind, config);
+    for (const std::string_view name : kPaperPolicies) {
+      const auto policy = MustValue(MakePolicy(name, PaperPolicyConfig(profile, eviction_k)));
       SimOptions options;
       options.seed = 303;
       options.worker_slots = 1;
@@ -36,14 +34,11 @@ void Section(const char* benchmark, uint32_t eviction_k) {
       spec.profile = &profile;
       spec.policy = policy.get();
       spec.requests = kRequests;
-      auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                             std::span<const SimFunctionSpec>(&spec, 1), options);
-      if (!report.ok()) {
-        std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-        std::exit(1);
-      }
-      const DistributionSummary summary = report->flat().LatencySummary();
-      std::printf("    %-22s median %9.0f us   p99 %9.0f us\n", PolicyKindName(kind),
+      const SimReport report =
+          MustValue(Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                             std::span<const SimFunctionSpec>(&spec, 1), options));
+      const DistributionSummary summary = report.flat().LatencySummary();
+      std::printf("    %-22s median %9.0f us   p99 %9.0f us\n", PolicyLabel(name),
                   summary.Median(), summary.Quantile(99));
     }
   }

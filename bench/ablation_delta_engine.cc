@@ -14,8 +14,8 @@ constexpr uint32_t kEvictionK = 1;
 
 void Row(const char* benchmark, EngineKind engine_kind) {
   const WorkloadProfile& profile = MustFind(benchmark);
-  const PolicyConfig config = PaperConfig(profile, kEvictionK);
-  const auto policy = MakePolicy(PolicyKind::kRequestCentric, config);
+  const auto policy =
+      MustValue(MakePolicy("request-centric", PaperPolicyConfig(profile, kEvictionK)));
   auto eviction = EveryKRequestsEviction::Create(kEvictionK);
   SimOptions options;
   options.seed = 77;

@@ -15,11 +15,8 @@ constexpr uint64_t kRequests = 1600;
 constexpr uint32_t kEvictionK = 4;
 
 void Row(const WorkloadProfile& profile, uint32_t exploring_slots) {
-  const PolicyConfig config = PaperConfig(profile, kEvictionK);
-  auto policy = RequestCentricPolicy::Create(config);
-  if (!policy.ok()) {
-    std::exit(1);
-  }
+  const auto policy =
+      MustValue(MakePolicy("request-centric", PaperPolicyConfig(profile, kEvictionK)));
   SimOptions options;
   options.worker_slots = kWorkerSlots;
   options.exploring_slots = exploring_slots;
@@ -29,15 +26,12 @@ void Row(const WorkloadProfile& profile, uint32_t exploring_slots) {
   SimFunctionSpec spec;
   spec.name = profile.name;
   spec.profile = &profile;
-  spec.policy = &*policy;
+  spec.policy = policy.get();
   spec.requests = kRequests;
-  auto result = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                         std::span<const SimFunctionSpec>(&spec, 1), options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    std::exit(1);
-  }
-  const SimulationReport& report = result->flat();
+  const SimReport result =
+      MustValue(Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                         std::span<const SimFunctionSpec>(&spec, 1), options));
+  const SimulationReport& report = result.flat();
   const double cluster_median = report.LatencySummary().Median();
   const double exploit_median = report.exploiting_latency.empty()
                                     ? 0.0

@@ -28,9 +28,9 @@ std::vector<TimePoint> SparseArrivals(uint64_t seed) {
   return arrivals;
 }
 
-void Row(const WorkloadProfile& profile, PolicyKind kind, int64_t idle_timeout_s) {
-  const PolicyConfig config = PaperConfig(profile, /*eviction_k=*/1);
-  const auto policy = MakePolicy(kind, config);
+void Row(const WorkloadProfile& profile, std::string_view name, int64_t idle_timeout_s) {
+  const auto policy =
+      MustValue(MakePolicy(name, PaperPolicyConfig(profile, /*eviction_k=*/1)));
   IdleTimeoutEviction eviction(Duration::Seconds(static_cast<double>(idle_timeout_s)));
   SimOptions options;
   options.seed = 42;
@@ -44,7 +44,7 @@ void Row(const WorkloadProfile& profile, PolicyKind kind, int64_t idle_timeout_s
   const double gb_minutes = report.worker_memory_time_mb_s / 1024.0 / 60.0;
   std::printf("  %-22s idle-timeout %5llds   median %8.0f us   lifetimes %4llu   "
               "memory-time %7.1f GB-min\n",
-              PolicyKindName(kind), static_cast<long long>(idle_timeout_s),
+              PolicyLabel(name), static_cast<long long>(idle_timeout_s),
               report.MedianLatencyUs(),
               static_cast<unsigned long long>(report.worker_lifetimes), gb_minutes);
 }
@@ -60,12 +60,12 @@ int main() {
 
   std::printf("keep-alive strategies (no checkpointing, pay idle memory):\n");
   for (int64_t timeout_s : {600, 1800, 7200}) {
-    Row(profile, PolicyKind::kCold, timeout_s);
+    Row(profile, "cold", timeout_s);
   }
   std::printf("\ncheckpoint-restore with aggressive eviction:\n");
   for (int64_t timeout_s : {30, 120}) {
-    Row(profile, PolicyKind::kAfterFirst, timeout_s);
-    Row(profile, PolicyKind::kRequestCentric, timeout_s);
+    Row(profile, "after-first", timeout_s);
+    Row(profile, "request-centric", timeout_s);
   }
   std::printf("\n(expected shape: very long keep-alive approaches warm latency but\n"
               " holds GBs of idle memory; the request-centric policy reaches\n"

@@ -13,7 +13,7 @@ constexpr uint64_t kRequests = 500;
 
 double MedianFor(const WorkloadProfile& profile, const PolicyConfig& config,
                  uint64_t seed) {
-  const auto policy = MakePolicy(PolicyKind::kRequestCentric, config);
+  const auto policy = MustValue(MakePolicy("request-centric", config));
   SimOptions options;
   options.seed = seed;
   options.worker_slots = 1;
@@ -25,13 +25,10 @@ double MedianFor(const WorkloadProfile& profile, const PolicyConfig& config,
   spec.profile = &profile;
   spec.policy = policy.get();
   spec.requests = kRequests;
-  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                         std::span<const SimFunctionSpec>(&spec, 1), options);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    std::exit(1);
-  }
-  return report->flat().MedianLatencyUs();
+  return MustValue(Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                            std::span<const SimFunctionSpec>(&spec, 1), options))
+      .flat()
+      .MedianLatencyUs();
 }
 
 }  // namespace
@@ -41,7 +38,7 @@ int main() {
   using namespace pronghorn;
   using namespace pronghorn::bench;
   const auto& profile = MustFind("DynamicHTML");
-  const PolicyConfig base = PaperConfig(profile, kEvictionK);
+  const PolicyConfig base = PaperPolicyConfig(profile, kEvictionK);
   std::printf("=== Ablation: policy parameter sensitivity (DynamicHTML, eviction 1, "
               "500 requests) ===\n");
   std::printf("paper defaults: alpha=%.2f  C=%u  p=%.0f%%  gamma=%.0f%%  tau=%.1f\n\n",

@@ -27,8 +27,8 @@ constexpr size_t kConvergenceWindow = 20;
 constexpr double kConvergenceTolerance = 0.02;
 
 void Row(const WorkloadProfile& profile, double fault_rate) {
-  const PolicyConfig config = PaperConfig(profile, kEvictionK);
-  const auto policy = MakePolicy(PolicyKind::kRequestCentric, config);
+  const auto policy =
+      MustValue(MakePolicy("request-centric", PaperPolicyConfig(profile, kEvictionK)));
 
   SimOptions options;
   options.seed = kSeed;
@@ -49,13 +49,10 @@ void Row(const WorkloadProfile& profile, double fault_rate) {
   spec.profile = &profile;
   spec.policy = policy.get();
   spec.requests = kRequests;
-  auto result = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                         std::span<const SimFunctionSpec>(&spec, 1), options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    std::exit(1);
-  }
-  const SimulationReport* report = &result->flat();
+  const SimReport result =
+      MustValue(Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
+                         std::span<const SimFunctionSpec>(&spec, 1), options));
+  const SimulationReport* report = &result.flat();
 
   const auto convergence =
       ConvergenceRequest(report->records, kConvergenceWindow, kConvergenceTolerance);
@@ -80,7 +77,7 @@ void Row(const WorkloadProfile& profile, double fault_rate) {
 void Run() {
   const WorkloadProfile& profile = MustFind("DynamicHTML");
   const uint64_t budget =
-      PaperConfig(profile, kEvictionK).max_checkpoint_request + 100;
+      PaperPolicyConfig(profile, kEvictionK).max_checkpoint_request + 100;
   std::printf("Chaos degradation: DynamicHTML, request-centric, every-%u eviction, "
               "%llu requests\n",
               kEvictionK, static_cast<unsigned long long>(kRequests));

@@ -11,102 +11,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
-#include "src/core/baseline_policies.h"
-#include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
+#include "src/platform/evaluation.h"
 #include "src/platform/sim_environment.h"
 #include "src/platform/simulate.h"
 
 namespace pronghorn::bench {
 
-// The evaluation's policy parameters (§5.1 "Orchestration policies"):
-// p = 40%, gamma = 10%, C = 12, W = 100 (PyPy) / 200 (JVM), beta = the
-// eviction interval under test.
-inline PolicyConfig PaperConfig(const WorkloadProfile& profile, uint32_t eviction_k) {
-  PolicyConfig config;
-  config.beta = eviction_k;
-  config.pool_capacity = 12;
-  config.max_checkpoint_request = profile.family == RuntimeFamily::kJvm ? 200 : 100;
-  config.retain_top_percent = 40.0;
-  config.retain_random_percent = 10.0;
-  return config;
-}
-
-inline const WorkloadProfile& MustFind(const char* name) {
-  auto profile = WorkloadRegistry::Default().Find(name);
-  if (!profile.ok()) {
-    std::fprintf(stderr, "unknown benchmark %s: %s\n", name,
-                 profile.status().ToString().c_str());
-    std::exit(1);
-  }
-  return **profile;
-}
-
-enum class PolicyKind { kCold, kAfterFirst, kRequestCentric };
-
-inline const char* PolicyKindName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kCold:
-      return "Cold";
-    case PolicyKind::kAfterFirst:
-      return "Checkpoint after 1st";
-    case PolicyKind::kRequestCentric:
-      return "Request-centric";
-  }
-  return "?";
-}
-
-inline std::unique_ptr<OrchestrationPolicy> MakePolicy(PolicyKind kind,
-                                                       const PolicyConfig& config) {
-  switch (kind) {
-    case PolicyKind::kCold:
-      return std::make_unique<ColdStartPolicy>(config);
-    case PolicyKind::kAfterFirst:
-      return std::make_unique<CheckpointAfterFirstPolicy>(config);
-    case PolicyKind::kRequestCentric: {
-      auto policy = RequestCentricPolicy::Create(config);
-      if (!policy.ok()) {
-        std::fprintf(stderr, "bad policy config: %s\n",
-                     policy.status().ToString().c_str());
-        std::exit(1);
-      }
-      return std::make_unique<RequestCentricPolicy>(*std::move(policy));
-    }
-  }
-  return nullptr;
-}
-
-// Runs one closed-loop experiment (the §5.1 measurement protocol) through
-// Simulate() in its single-function configuration (one worker slot,
-// sub-seed = seed).
-inline SimulationReport RunClosedLoop(const WorkloadProfile& profile, PolicyKind kind,
-                                      uint32_t eviction_k, uint64_t requests,
-                                      uint64_t seed, bool input_noise = true) {
-  const PolicyConfig config = PaperConfig(profile, eviction_k);
-  const auto policy = MakePolicy(kind, config);
-  SimOptions options;
-  options.seed = seed;
-  options.input_noise = input_noise;
-  options.worker_slots = 1;
-  options.exploring_slots = 1;
-  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
-  options.eviction.k = eviction_k;
-  SimFunctionSpec spec;
-  spec.name = profile.name;
-  spec.profile = &profile;
-  spec.policy = policy.get();
-  spec.requests = requests;
-  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                         std::span<const SimFunctionSpec>(&spec, 1), options);
-  if (!report.ok()) {
-    std::fprintf(stderr, "simulation failed: %s\n", report.status().ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(report->per_function.front().report);
+// Display label of each kPaperPolicies strategy.
+inline const char* PolicyLabel(std::string_view policy) {
+  return policy == "cold"          ? "Cold"
+         : policy == "after-first" ? "Checkpoint after 1st"
+                                   : "Request-centric";
 }
 
 // Exits with the status message when `status` is an error.
@@ -115,6 +35,17 @@ inline void MustOk(const Status& status) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     std::exit(1);
   }
+}
+
+// Exits with the status message when `result` is an error; else its value.
+template <typename T>
+T MustValue(Result<T> result) {
+  MustOk(result.status());
+  return *std::move(result);
+}
+
+inline const WorkloadProfile& MustFind(const char* name) {
+  return *MustValue(WorkloadRegistry::Default().Find(name));
 }
 
 // Trace arrivals addressed to one deployment of a SimEnvironment.
@@ -162,6 +93,40 @@ inline std::pair<double, double> SharedLogBounds(const DistributionSummary& a,
 inline void PrintRule() {
   std::printf("--------------------------------------------------------------------"
               "-----------------------------\n");
+}
+
+// Runs the §5.1 matrix over the named benchmarks at seed `seed_base + k` and
+// prints each row as Figures 4 and 5 show it: per-strategy percentiles,
+// log-axis densities, and the request-centric median improvement.
+inline EvaluationMatrix PrintEvaluationMatrix(std::span<const char* const> benchmarks,
+                                              uint64_t seed_base) {
+  std::vector<const WorkloadProfile*> profiles;
+  for (const char* name : benchmarks) {
+    profiles.push_back(&MustFind(name));
+  }
+  EvaluationMatrix matrix = MustValue(
+      RunEvaluationMatrix(profiles, kPaperEvictions, kPaperRequests, seed_base));
+  const WorkloadProfile* previous = nullptr;
+  for (const EvaluationRow& row : matrix.rows) {
+    if (row.profile != previous) {
+      std::printf("\n%s\n", row.profile->name.c_str());
+      previous = row.profile;
+    }
+    std::printf(" eviction: every %u request(s)\n", row.eviction_k);
+    std::vector<DistributionSummary> summaries;
+    for (size_t p = 0; p < row.reports.size(); ++p) {
+      summaries.push_back(row.reports[p].LatencySummary());
+      PrintPercentileRow(PolicyLabel(kPaperPolicies[p]), summaries.back());
+    }
+    // The densities share the axis of the two checkpointing strategies.
+    const auto [log_lo, log_hi] = SharedLogBounds(summaries[1], summaries[2]);
+    for (size_t p = 0; p < summaries.size(); ++p) {
+      PrintAsciiDensity(PolicyLabel(kPaperPolicies[p]), summaries[p], log_lo, log_hi);
+    }
+    std::printf("  -> request-centric median improvement over after-1st: %+.1f%%\n",
+                row.improvement_percent);
+  }
+  return matrix;
 }
 
 }  // namespace pronghorn::bench

@@ -7,73 +7,23 @@
 // of the request-centric policy over checkpoint-after-1st, and the geometric
 // mean over winning benchmarks per eviction rate.
 
-#include <map>
-
 #include "bench/exhibit_common.h"
-#include "src/common/mathutil.h"
 
 namespace pronghorn::bench {
 namespace {
-
-constexpr uint64_t kRequests = 500;
-constexpr uint32_t kEvictionRates[] = {1, 4, 20};
-constexpr PolicyKind kPolicies[] = {PolicyKind::kCold, PolicyKind::kAfterFirst,
-                                    PolicyKind::kRequestCentric};
 
 const char* kBenchmarks[] = {"BFS",      "DFS",         "DynamicHTML",
                              "MST",      "PageRank",    "Compression",
                              "Uploader", "Thumbnailer", "Video"};
 
 void RunExhibit() {
-  // improvement[k] -> per-benchmark median improvement (RC vs after-1st).
-  std::map<uint32_t, std::vector<double>> winners;
-  std::map<uint32_t, int> on_par_count;
-  std::map<uint32_t, int> worse_count;
-
-  for (const char* benchmark : kBenchmarks) {
-    const WorkloadProfile& profile = MustFind(benchmark);
-    std::printf("\n%s\n", benchmark);
-    for (uint32_t k : kEvictionRates) {
-      std::printf(" eviction: every %u request(s)\n", k);
-      double after_first_median = 0.0;
-      double request_centric_median = 0.0;
-      std::vector<DistributionSummary> summaries;
-      for (PolicyKind kind : kPolicies) {
-        const SimulationReport report =
-            RunClosedLoop(profile, kind, k, kRequests, /*seed=*/91u + k);
-        summaries.push_back(report.LatencySummary());
-        const DistributionSummary& summary = summaries.back();
-        PrintPercentileRow(PolicyKindName(kind), summary);
-        if (kind == PolicyKind::kAfterFirst) {
-          after_first_median = summary.Median();
-        } else if (kind == PolicyKind::kRequestCentric) {
-          request_centric_median = summary.Median();
-        }
-      }
-      const auto [log_lo, log_hi] = SharedLogBounds(summaries[1], summaries[2]);
-      for (size_t s = 0; s < summaries.size(); ++s) {
-        PrintAsciiDensity(PolicyKindName(kPolicies[s]), summaries[s], log_lo, log_hi);
-      }
-      const double improvement =
-          (after_first_median - request_centric_median) / after_first_median * 100.0;
-      std::printf("  -> request-centric median improvement over after-1st: %+.1f%%\n",
-                  improvement);
-      if (improvement > 5.0) {
-        winners[k].push_back(improvement);
-      } else if (improvement >= -5.0) {
-        on_par_count[k] += 1;
-      } else {
-        worse_count[k] += 1;
-      }
-    }
-  }
-
+  const EvaluationMatrix matrix = PrintEvaluationMatrix(kBenchmarks, /*seed_base=*/91);
   std::printf("\n=== Headline aggregation (paper §5.2) ===\n");
-  for (uint32_t k : kEvictionRates) {
-    const double geomean = GeometricMean(winners[k]);
+  for (const EvaluationHeadline& headline : matrix.headlines) {
     std::printf("eviction %2u: %zu/9 better (geomean improvement %.1f%%), "
-                "%d on-par (within 5%%), %d worse\n",
-                k, winners[k].size(), geomean, on_par_count[k], worse_count[k]);
+                "%u on-par (within 5%%), %u worse\n",
+                headline.eviction_k, headline.winners.size(), headline.geomean_percent,
+                headline.on_par, headline.worse);
   }
   std::printf("(paper: geomean 37.2%% at eviction 1, 22.5%% at 4, 13.5%% at 20,\n"
               " across Python+Java winners; Uploader worse at eviction 1 and 4)\n");

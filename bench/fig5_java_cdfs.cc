@@ -2,60 +2,19 @@
 // Java benchmarks across the three orchestration strategies and three
 // container eviction rates, 500 invocations each (W = 200 for the JVM).
 
-#include <map>
-
 #include "bench/exhibit_common.h"
-#include "src/common/mathutil.h"
 
 namespace pronghorn::bench {
 namespace {
 
-constexpr uint64_t kRequests = 500;
-constexpr uint32_t kEvictionRates[] = {1, 4, 20};
-constexpr PolicyKind kPolicies[] = {PolicyKind::kCold, PolicyKind::kAfterFirst,
-                                    PolicyKind::kRequestCentric};
-
 const char* kBenchmarks[] = {"MatrixMult", "Hash", "HTMLRendering", "WordCount"};
 
 void RunExhibit() {
-  std::map<uint32_t, std::vector<double>> winners;
-  for (const char* benchmark : kBenchmarks) {
-    const WorkloadProfile& profile = MustFind(benchmark);
-    std::printf("\n%s\n", benchmark);
-    for (uint32_t k : kEvictionRates) {
-      std::printf(" eviction: every %u request(s)\n", k);
-      double after_first_median = 0.0;
-      double request_centric_median = 0.0;
-      std::vector<DistributionSummary> summaries;
-      for (PolicyKind kind : kPolicies) {
-        const SimulationReport report =
-            RunClosedLoop(profile, kind, k, kRequests, /*seed=*/57u + k);
-        summaries.push_back(report.LatencySummary());
-        const DistributionSummary& summary = summaries.back();
-        PrintPercentileRow(PolicyKindName(kind), summary);
-        if (kind == PolicyKind::kAfterFirst) {
-          after_first_median = summary.Median();
-        } else if (kind == PolicyKind::kRequestCentric) {
-          request_centric_median = summary.Median();
-        }
-      }
-      const auto [log_lo, log_hi] = SharedLogBounds(summaries[1], summaries[2]);
-      for (size_t s = 0; s < summaries.size(); ++s) {
-        PrintAsciiDensity(PolicyKindName(kPolicies[s]), summaries[s], log_lo, log_hi);
-      }
-      const double improvement =
-          (after_first_median - request_centric_median) / after_first_median * 100.0;
-      std::printf("  -> request-centric median improvement over after-1st: %+.1f%%\n",
-                  improvement);
-      if (improvement > 5.0) {
-        winners[k].push_back(improvement);
-      }
-    }
-  }
+  const EvaluationMatrix matrix = PrintEvaluationMatrix(kBenchmarks, /*seed_base=*/57);
   std::printf("\n=== Java headline aggregation ===\n");
-  for (uint32_t k : kEvictionRates) {
-    std::printf("eviction %2u: %zu/4 better, geomean improvement %.1f%%\n", k,
-                winners[k].size(), GeometricMean(winners[k]));
+  for (const EvaluationHeadline& headline : matrix.headlines) {
+    std::printf("eviction %2u: %zu/4 better, geomean improvement %.1f%%\n",
+                headline.eviction_k, headline.winners.size(), headline.geomean_percent);
   }
   std::printf("(paper: MatrixMult/Hash/HTMLRendering clear benefit to p90 at\n"
               " eviction 1 with median improvements of 24.8%%/36.8%%/58.9%%)\n");

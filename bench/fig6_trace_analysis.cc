@@ -23,14 +23,10 @@ std::vector<TimePoint> BuildArrivals(double percentile, uint64_t seed) {
   TraceGenerator generator(model, seed);
   std::vector<TimePoint> arrivals;
   for (int window = 0; window < kWindowsPerScenario; ++window) {
-    auto window_arrivals =
-        generator.GenerateWindow(percentile, Duration::Seconds(kWindowSeconds));
-    if (!window_arrivals.ok()) {
-      std::fprintf(stderr, "%s\n", window_arrivals.status().ToString().c_str());
-      std::exit(1);
-    }
+    const std::vector<TimePoint> window_arrivals = MustValue(
+        generator.GenerateWindow(percentile, Duration::Seconds(kWindowSeconds)));
     const int64_t base_us = static_cast<int64_t>(window) * kWindowSeconds * 1000000;
-    for (TimePoint t : *window_arrivals) {
+    for (TimePoint t : window_arrivals) {
       arrivals.push_back(TimePoint::FromMicros(base_us + t.ToMicros()));
     }
   }
@@ -50,12 +46,11 @@ void RunScenario(const char* benchmark, double percentile) {
   }
 
   double after_first_median = 0.0;
-  for (PolicyKind kind :
-       {PolicyKind::kCold, PolicyKind::kAfterFirst, PolicyKind::kRequestCentric}) {
+  for (const std::string_view name : kPaperPolicies) {
     // beta for trace runs: requests expected per worker lifetime; a rough
     // provider estimate of 4 mirrors the paper's mid eviction rate.
-    const PolicyConfig config = PaperConfig(profile, /*eviction_k=*/4);
-    const auto policy = MakePolicy(kind, config);
+    const auto policy =
+        MustValue(MakePolicy(name, PaperPolicyConfig(profile, /*eviction_k=*/4)));
     // Platform behavior: 10-minute idle timeout (AWS Lambda default) plus the
     // ~20-minute typical worker lifetime from the Azure characterization.
     IdleTimeoutEviction idle(Duration::Seconds(600));
@@ -69,10 +64,10 @@ void RunScenario(const char* benchmark, double percentile) {
     MustOk(env.RunArrivals(ArrivalsFor(0, arrivals)));
     env.RetireAllWorkers();
     const DistributionSummary summary = env.TakeFlatReport().LatencySummary();
-    PrintPercentileRow(PolicyKindName(kind), summary);
-    if (kind == PolicyKind::kAfterFirst) {
+    PrintPercentileRow(PolicyLabel(name), summary);
+    if (name == "after-first") {
       after_first_median = summary.Median();
-    } else if (kind == PolicyKind::kRequestCentric) {
+    } else if (name == "request-centric") {
       std::printf("  -> request-centric vs after-1st median: %+.1f%%\n",
                   (after_first_median - summary.Median()) / after_first_median * 100.0);
     }

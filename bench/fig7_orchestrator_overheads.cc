@@ -38,10 +38,10 @@ PerOp Normalize(const OrchestratorOverheads& overheads) {
 
 void Row(const char* benchmark) {
   const WorkloadProfile& profile = MustFind(benchmark);
-  const SimulationReport rc = RunClosedLoop(profile, PolicyKind::kRequestCentric,
-                                            kEvictionK, kRequests, /*seed=*/3);
-  const SimulationReport baseline = RunClosedLoop(profile, PolicyKind::kAfterFirst,
-                                                  kEvictionK, kRequests, /*seed=*/3);
+  const SimulationReport rc = MustValue(
+      RunPaperExperiment(profile, "request-centric", kEvictionK, kRequests, /*seed=*/3));
+  const SimulationReport baseline = MustValue(
+      RunPaperExperiment(profile, "after-first", kEvictionK, kRequests, /*seed=*/3));
   const PerOp rc_ops = Normalize(rc.overheads);
   const PerOp baseline_ops = Normalize(baseline.overheads);
 

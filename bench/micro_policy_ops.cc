@@ -11,6 +11,7 @@
 #include "bench/exhibit_common.h"
 #include "src/checkpoint/criu_like_engine.h"
 #include "src/core/policy_state_store.h"
+#include "src/core/request_centric_policy.h"
 #include "src/store/kv_database.h"
 
 namespace pronghorn::bench {
@@ -37,7 +38,7 @@ PolicyState PopulatedState(const PolicyConfig& config, size_t pool_size) {
 
 void BM_PolicyOnWorkerStart(benchmark::State& bench_state) {
   const WorkloadProfile& profile = MustFind("DynamicHTML");
-  const PolicyConfig config = PaperConfig(profile, 20);
+  const PolicyConfig config = PaperPolicyConfig(profile, 20);
   auto policy = RequestCentricPolicy::Create(config);
   const PolicyState state =
       PopulatedState(config, static_cast<size_t>(bench_state.range(0)));
@@ -55,7 +56,7 @@ BENCHMARK(BM_PolicyOnWorkerStart)->Arg(1)->Arg(6)->Arg(12);
 // quantifies exactly what the cache buys on the knowledge-write path.
 void KnowledgeWriteLoop(benchmark::State& bench_state, bool cache) {
   const WorkloadProfile& profile = MustFind("DynamicHTML");
-  const PolicyConfig config = PaperConfig(profile, 20);
+  const PolicyConfig config = PaperPolicyConfig(profile, 20);
   auto policy = RequestCentricPolicy::Create(config);
   InMemoryKvDatabase db;
   PolicyStateStore store(db, "bench", config, nullptr, StateStoreRetryPolicy{}, cache);
@@ -87,7 +88,7 @@ BENCHMARK(BM_PolicyOnRequestCompleteNoCache);
 // BM_PolicyOnRequestComplete measured); already O(1).
 void BM_ThetaUpdate(benchmark::State& bench_state) {
   const WorkloadProfile& profile = MustFind("DynamicHTML");
-  const PolicyConfig config = PaperConfig(profile, 20);
+  const PolicyConfig config = PaperPolicyConfig(profile, 20);
   auto policy = RequestCentricPolicy::Create(config);
   PolicyState state = PopulatedState(config, 12);
   uint64_t request = 1;
@@ -100,7 +101,7 @@ BENCHMARK(BM_ThetaUpdate);
 
 void BM_PoolPrune(benchmark::State& bench_state) {
   const WorkloadProfile& profile = MustFind("DynamicHTML");
-  const PolicyConfig config = PaperConfig(profile, 20);
+  const PolicyConfig config = PaperPolicyConfig(profile, 20);
   auto policy = RequestCentricPolicy::Create(config);
   Rng rng(3);
   for (auto _ : bench_state) {
@@ -114,7 +115,7 @@ BENCHMARK(BM_PoolPrune);
 
 void BM_PolicyStateCodec(benchmark::State& bench_state) {
   const WorkloadProfile& profile = MustFind("HTMLRendering");  // W = 200.
-  const PolicyConfig config = PaperConfig(profile, 20);
+  const PolicyConfig config = PaperPolicyConfig(profile, 20);
   const PolicyState state = PopulatedState(config, 12);
   for (auto _ : bench_state) {
     const auto encoded = EncodePolicyState(state);
@@ -169,7 +170,7 @@ BENCHMARK(BM_CheckpointRestoreRoundTrip);
 void BM_SimulatedRequestEndToEnd(benchmark::State& bench_state) {
   // Full-stack cost of one simulated request (execution + DB round trip).
   const WorkloadProfile& profile = MustFind("DynamicHTML");
-  const PolicyConfig config = PaperConfig(profile, 20);
+  const PolicyConfig config = PaperPolicyConfig(profile, 20);
   auto policy = RequestCentricPolicy::Create(config);
   auto eviction = EveryKRequestsEviction::Create(20);
   SimOptions options;

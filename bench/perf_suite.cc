@@ -48,6 +48,7 @@
 #include "src/common/mathutil.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/core/request_centric_policy.h"
 #include "src/service/orchestrator_service.h"
 #include "src/store/kv_database.h"
 #include "src/store/object_store.h"
@@ -325,8 +326,8 @@ struct FleetFixture {
     for (size_t i = 0; i < fleet_size; ++i) {
       const auto* profile = evaluation[i % evaluation.size()];
       profiles.push_back(profile);
-      policies.push_back(MakePolicy(PolicyKind::kRequestCentric,
-                                    PaperConfig(*profile, eviction_k)));
+      policies.push_back(MustValue(
+          MakePolicy("request-centric", PaperPolicyConfig(*profile, eviction_k))));
       SimFunctionSpec spec;
       char name[48];
       std::snprintf(name, sizeof(name), "f%03zu-%s", i, profile->name.c_str());

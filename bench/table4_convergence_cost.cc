@@ -29,22 +29,14 @@ CostSample MeasureCosts(const WorkloadProfile& profile) {
   OnlineStats restore_ms;
   double snapshot_mb = 0.0;
   for (int rep = 0; rep < 10; ++rep) {
-    auto checkpoint =
-        engine.Checkpoint(process, SnapshotId{static_cast<uint64_t>(rep) + 1},
-                          TimePoint());
-    if (!checkpoint.ok()) {
-      std::fprintf(stderr, "%s\n", checkpoint.status().ToString().c_str());
-      std::exit(1);
-    }
-    checkpoint_ms.Add(checkpoint->downtime.ToMillis());
-    snapshot_mb = static_cast<double>(checkpoint->image.metadata().logical_size_bytes) /
+    const auto checkpoint = MustValue(engine.Checkpoint(
+        process, SnapshotId{static_cast<uint64_t>(rep) + 1}, TimePoint()));
+    checkpoint_ms.Add(checkpoint.downtime.ToMillis());
+    snapshot_mb = static_cast<double>(checkpoint.image.metadata().logical_size_bytes) /
                   (1024.0 * 1024.0);
-    auto restored = engine.Restore(checkpoint->image, WorkloadRegistry::Default());
-    if (!restored.ok()) {
-      std::fprintf(stderr, "%s\n", restored.status().ToString().c_str());
-      std::exit(1);
-    }
-    restore_ms.Add(restored->restore_time.ToMillis());
+    const auto restored =
+        MustValue(engine.Restore(checkpoint.image, WorkloadRegistry::Default()));
+    restore_ms.Add(restored.restore_time.ToMillis());
   }
   return CostSample{checkpoint_ms.mean(), checkpoint_ms.stddev(), restore_ms.mean(),
                     restore_ms.stddev(), snapshot_mb};
@@ -56,8 +48,8 @@ double MeasureConvergence(const WorkloadProfile& profile) {
   double sum = 0.0;
   int counted = 0;
   for (uint32_t k : {1u, 4u, 20u}) {
-    const SimulationReport report = RunClosedLoop(
-        profile, PolicyKind::kRequestCentric, k, 500, /*seed=*/33u + k);
+    const SimulationReport report = MustValue(
+        RunPaperExperiment(profile, "request-centric", k, 500, /*seed=*/33u + k));
     const auto convergence = ConvergenceRequest(report.records, 20, 0.02);
     if (convergence.has_value()) {
       sum += static_cast<double>(*convergence);

@@ -17,10 +17,10 @@ constexpr uint32_t kEvictionK = 1;  // Every request a new worker, as in Table 5
 void Row(const char* benchmark) {
   const WorkloadProfile& profile = MustFind(benchmark);
 
-  const SimulationReport rc = RunClosedLoop(profile, PolicyKind::kRequestCentric,
-                                            kEvictionK, kRequests, /*seed=*/29);
-  const SimulationReport baseline = RunClosedLoop(profile, PolicyKind::kAfterFirst,
-                                                  kEvictionK, kRequests, /*seed=*/29);
+  const SimulationReport rc = MustValue(
+      RunPaperExperiment(profile, "request-centric", kEvictionK, kRequests, /*seed=*/29));
+  const SimulationReport baseline = MustValue(
+      RunPaperExperiment(profile, "after-first", kEvictionK, kRequests, /*seed=*/29));
 
   const double mb = 1024.0 * 1024.0;
   const double snapshot_mb = profile.snapshot_mb;

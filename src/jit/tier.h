@@ -4,7 +4,6 @@
 #define PRONGHORN_SRC_JIT_TIER_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace pronghorn {
 
@@ -15,18 +14,6 @@ enum class CompilationTier : uint8_t {
   kBaseline = 1,
   kOptimized = 2,
 };
-
-inline std::string_view CompilationTierName(CompilationTier tier) {
-  switch (tier) {
-    case CompilationTier::kInterpreter:
-      return "interpreter";
-    case CompilationTier::kBaseline:
-      return "baseline";
-    case CompilationTier::kOptimized:
-      return "optimized";
-  }
-  return "unknown";
-}
 
 }  // namespace pronghorn
 

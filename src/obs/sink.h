@@ -96,7 +96,6 @@ class StandardObs : public ObsSink {
   }
 
   const MetricsRegistry& metrics() const { return metrics_; }
-  MetricsSnapshot MetricsNow() const { return metrics_.Snapshot(); }
   const TraceRecorder& trace() const { return trace_; }
 
  private:

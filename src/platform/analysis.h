@@ -29,15 +29,6 @@ struct MaturityLatency {
 };
 std::vector<MaturityLatency> LatencyByMaturity(std::span<const RequestRecord> records);
 
-// Multi-stream form for sharded runs: aggregates the record streams of many
-// independent deployments into one maturity series. Order-insensitive by
-// construction — samples are bucketed by request number and summarized by
-// median, so any permutation of `streams` (or of records within a maturity
-// bucket) produces an identical series. This is the property the fleet
-// merge relies on when it combines per-shard reports.
-std::vector<MaturityLatency> LatencyByMaturityAcrossStreams(
-    std::span<const std::span<const RequestRecord>> streams);
-
 // Percentage improvement of `ours` over `baseline` medians: positive means
 // `ours` is faster. Returns 0 when the baseline median is 0.
 double MedianImprovementPercent(const SimulationReport& baseline,

@@ -67,7 +67,6 @@ class SimCore {
   TimePoint dispatch_at() const { return last_completion_; }
   TimePoint last_completion() const { return last_completion_; }
 
-  bool has_session() const { return view_.has_value(); }
   bool exploring() const { return exploring_; }
   Orchestrator& orchestrator() { return *orchestrator_; }
   const Orchestrator& orchestrator() const { return *orchestrator_; }

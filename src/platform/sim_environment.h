@@ -135,16 +135,11 @@ class SimEnvironment {
   // Requires exactly one deployment.
   SimulationReport TakeFlatReport();
 
-  size_t deployment_count() const { return deployments_.size(); }
   // Deployment index by name; kNotFound for unknown names.
   Result<size_t> DeploymentIndex(std::string_view name) const;
-  const std::string& deployment_name(size_t index) const {
-    return deployments_[index].name;
-  }
 
-  // Read-only store access for tests and exhibits (the raw in-memory stores,
-  // not the fault decorators).
-  const KvDatabase& raw_database() const { return db_; }
+  // Read-only access for tests and exhibits to the raw in-memory object
+  // store (not the fault decorator).
   const InMemoryObjectStore& raw_object_store() const { return object_store_; }
   // The snapshot store the deployments actually talk to (fault decorator
   // included when chaos is on).

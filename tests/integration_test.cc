@@ -6,8 +6,8 @@
 #include "src/core/baseline_policies.h"
 #include "src/core/request_centric_policy.h"
 #include "src/platform/analysis.h"
+#include "src/platform/evaluation.h"
 #include "src/platform/sim_environment.h"
-#include "src/platform/simulate.h"
 
 namespace pronghorn {
 namespace {
@@ -18,33 +18,12 @@ const WorkloadProfile& Profile(const char* name) {
   return **result;
 }
 
-PolicyConfig PaperConfig(const WorkloadProfile& profile, uint32_t eviction_k) {
-  PolicyConfig config;
-  config.beta = eviction_k;
-  config.pool_capacity = 12;
-  config.max_checkpoint_request = profile.family == RuntimeFamily::kJvm ? 200 : 100;
-  config.retain_top_percent = 40.0;
-  config.retain_random_percent = 10.0;
-  return config;
-}
-
-// One function, one worker slot, evicted every `eviction_k` requests.
-SimulationReport RunExperiment(const WorkloadProfile& profile, const OrchestrationPolicy& policy,
-                     uint64_t eviction_k, uint64_t requests, uint64_t seed) {
-  SimOptions options;
-  options.seed = seed;
-  options.worker_slots = 1;
-  options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
-  options.eviction.k = eviction_k;
-  SimFunctionSpec spec;
-  spec.name = profile.name;
-  spec.profile = &profile;
-  spec.policy = &policy;
-  spec.requests = requests;
-  auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                         std::span<const SimFunctionSpec>(&spec, 1), options);
+// One §5.1 closed-loop run (one worker slot, every-k eviction).
+SimulationReport Experiment(const WorkloadProfile& profile, std::string_view policy,
+                            uint32_t eviction_k, uint64_t requests, uint64_t seed) {
+  auto report = RunPaperExperiment(profile, policy, eviction_k, requests, seed);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  return report.ok() ? report->per_function.front().report : SimulationReport{};
+  return report.ok() ? *std::move(report) : SimulationReport{};
 }
 
 // Closes one closed-loop phase on `env`'s only deployment: retires the warm
@@ -59,13 +38,8 @@ TEST(IntegrationTest, RequestCentricBeatsStateOfTheArtOnComputeBound) {
   // benchmarks at eviction rate 1.
   for (const char* name : {"BFS", "DynamicHTML", "HTMLRendering", "WordCount"}) {
     const WorkloadProfile& profile = Profile(name);
-    const PolicyConfig config = PaperConfig(profile, 1);
-    const CheckpointAfterFirstPolicy baseline(config);
-    const auto request_centric = RequestCentricPolicy::Create(config);
-    ASSERT_TRUE(request_centric.ok());
-
-    const SimulationReport baseline_report = RunExperiment(profile, baseline, 1, 500, 42);
-    const SimulationReport rc_report = RunExperiment(profile, *request_centric, 1, 500, 42);
+    const SimulationReport baseline_report = Experiment(profile, "after-first", 1, 500, 42);
+    const SimulationReport rc_report = Experiment(profile, "request-centric", 1, 500, 42);
     const double improvement = MedianImprovementPercent(baseline_report, rc_report);
     EXPECT_GE(improvement, 15.0) << name;
     EXPECT_LE(improvement, 65.0) << name;
@@ -75,11 +49,8 @@ TEST(IntegrationTest, RequestCentricBeatsStateOfTheArtOnComputeBound) {
 TEST(IntegrationTest, StateOfTheArtBeatsColdStart) {
   // Checkpoint-restore itself helps: after-1st skips lazy initialization.
   const WorkloadProfile& profile = Profile("HTMLRendering");
-  const PolicyConfig config = PaperConfig(profile, 1);
-  const ColdStartPolicy cold(config);
-  const CheckpointAfterFirstPolicy after_first(config);
-  const SimulationReport cold_report = RunExperiment(profile, cold, 1, 300, 7);
-  const SimulationReport sota_report = RunExperiment(profile, after_first, 1, 300, 7);
+  const SimulationReport cold_report = Experiment(profile, "cold", 1, 300, 7);
+  const SimulationReport sota_report = Experiment(profile, "after-first", 1, 300, 7);
   EXPECT_GT(MedianImprovementPercent(cold_report, sota_report), 30.0);
 }
 
@@ -88,12 +59,8 @@ TEST(IntegrationTest, IoBoundWorkloadsAreOnPar) {
   // Uploader marginal (native library, no JIT benefit).
   for (const char* name : {"Compression", "Thumbnailer", "Video", "Uploader"}) {
     const WorkloadProfile& profile = Profile(name);
-    const PolicyConfig config = PaperConfig(profile, 1);
-    const CheckpointAfterFirstPolicy baseline(config);
-    const auto request_centric = RequestCentricPolicy::Create(config);
-    ASSERT_TRUE(request_centric.ok());
-    const SimulationReport baseline_report = RunExperiment(profile, baseline, 1, 400, 11);
-    const SimulationReport rc_report = RunExperiment(profile, *request_centric, 1, 400, 11);
+    const SimulationReport baseline_report = Experiment(profile, "after-first", 1, 400, 11);
+    const SimulationReport rc_report = Experiment(profile, "request-centric", 1, 400, 11);
     const double improvement = MedianImprovementPercent(baseline_report, rc_report);
     EXPECT_GT(improvement, -10.0) << name;
     EXPECT_LT(improvement, 15.0) << name;
@@ -107,12 +74,8 @@ TEST(IntegrationTest, GainsShrinkWithLongerWorkerLifetimes) {
   double improvements[2];
   int i = 0;
   for (uint32_t k : {1u, 20u}) {
-    const PolicyConfig config = PaperConfig(profile, k);
-    const CheckpointAfterFirstPolicy baseline(config);
-    const auto request_centric = RequestCentricPolicy::Create(config);
-    ASSERT_TRUE(request_centric.ok());
-    const SimulationReport baseline_report = RunExperiment(profile, baseline, k, 500, 3);
-    const SimulationReport rc_report = RunExperiment(profile, *request_centric, k, 500, 3);
+    const SimulationReport baseline_report = Experiment(profile, "after-first", k, 500, 3);
+    const SimulationReport rc_report = Experiment(profile, "request-centric", k, 500, 3);
     improvements[i++] = MedianImprovementPercent(baseline_report, rc_report);
   }
   EXPECT_GT(improvements[0], improvements[1] + 5.0);
@@ -127,19 +90,17 @@ TEST(IntegrationTest, ConvergenceWithinWPlus100) {
   // input noise enabled).
   for (const char* name : {"DynamicHTML", "Hash"}) {
     const WorkloadProfile& profile = Profile(name);
-    const PolicyConfig config = PaperConfig(profile, 1);
-    const auto policy = RequestCentricPolicy::Create(config);
-    ASSERT_TRUE(policy.ok());
-    const SimulationReport report = RunExperiment(profile, *policy, 1, 500, 21);
+    const SimulationReport report = Experiment(profile, "request-centric", 1, 500, 21);
     const auto convergence = ConvergenceRequest(report.records, 20, 0.10);
     ASSERT_TRUE(convergence.has_value()) << name;
-    EXPECT_LT(*convergence, config.max_checkpoint_request + 100) << name;
+    EXPECT_LT(*convergence, PaperPolicyConfig(profile, 1).max_checkpoint_request + 100)
+        << name;
   }
 }
 
 TEST(IntegrationTest, SnapshotPoolStaysBounded) {
   const WorkloadProfile& profile = Profile("MST");
-  const PolicyConfig config = PaperConfig(profile, 1);
+  const PolicyConfig config = PaperPolicyConfig(profile, 1);
   const auto policy = RequestCentricPolicy::Create(config);
   ASSERT_TRUE(policy.ok());
 
@@ -168,10 +129,7 @@ TEST(IntegrationTest, NetworkCostIsTwiceBaselinePerLifetime) {
   // Table 5: during exploration Pronghorn moves ~2x the baseline's bytes
   // per container lifetime (one restore download + one checkpoint upload).
   const WorkloadProfile& profile = Profile("BFS");
-  const PolicyConfig config = PaperConfig(profile, 1);
-  const auto policy = RequestCentricPolicy::Create(config);
-  ASSERT_TRUE(policy.ok());
-  const SimulationReport report = RunExperiment(profile, *policy, 1, 300, 13);
+  const SimulationReport report = Experiment(profile, "request-centric", 1, 300, 13);
 
   const double uploaded = static_cast<double>(report.object_store.network_bytes_uploaded);
   const double downloaded =
@@ -184,7 +142,7 @@ TEST(IntegrationTest, ContinuousLearningSurvivesInputShift) {
   // §3.3 "Continuous learning": after the input distribution shifts, the
   // EWMA keeps estimates fresh and the policy keeps its advantage.
   const WorkloadProfile& profile = Profile("DynamicHTML");
-  const PolicyConfig config = PaperConfig(profile, 1);
+  const PolicyConfig config = PaperPolicyConfig(profile, 1);
   const auto policy = RequestCentricPolicy::Create(config);
   ASSERT_TRUE(policy.ok());
   const CheckpointAfterFirstPolicy baseline(config);
@@ -215,7 +173,7 @@ TEST(IntegrationTest, ExplorationSaturatesAtW) {
   // restore at maturity near W (the paper's provider can then stop
   // checkpointing entirely, since the best snapshot is already pooled).
   const WorkloadProfile& profile = Profile("DynamicHTML");
-  PolicyConfig config = PaperConfig(profile, 4);
+  PolicyConfig config = PaperPolicyConfig(profile, 4);
   config.max_checkpoint_request = 20;  // Small W so the run saturates it.
   const auto policy = RequestCentricPolicy::Create(config);
   ASSERT_TRUE(policy.ok());

@@ -2,28 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include "src/platform/evaluation.h"
+
 namespace pronghorn {
 namespace {
 
-PolicyConfig PaperConfig() {
-  // §5.1: p = 40%, gamma = 10%, C = 12, W = 100 (PyPy).
-  PolicyConfig config;
-  config.beta = 20;
-  config.pool_capacity = 12;
-  config.max_checkpoint_request = 100;
-  config.retain_top_percent = 40.0;
-  config.retain_random_percent = 10.0;
-  return config;
+// §5.1 for a PyPy benchmark: p = 40%, gamma = 10%, C = 12, W = 100.
+PolicyConfig PythonConfig() {
+  return PaperPolicyConfig(**WorkloadRegistry::Default().Find("BFS"), /*eviction_k=*/20);
 }
 
-TEST(PolicyConfigTest, PaperConfigurationValidates) {
-  EXPECT_TRUE(PaperConfig().Validate().ok());
+TEST(PolicyConfigTest, PaperPolicyConfigValidates) {
+  for (const WorkloadProfile* profile : WorkloadRegistry::Default().EvaluationSet()) {
+    for (const uint32_t k : kPaperEvictions) {
+      EXPECT_TRUE(PaperPolicyConfig(*profile, k).Validate().ok()) << profile->name;
+    }
+  }
 }
 
 TEST(PolicyConfigTest, DefaultsValidate) { EXPECT_TRUE(PolicyConfig{}.Validate().ok()); }
 
 TEST(PolicyConfigTest, WeightVectorLengthCoversLifetimeBeyondW) {
-  PolicyConfig config = PaperConfig();
+  PolicyConfig config = PythonConfig();
   // A worker restored at W still reports beta more latencies.
   EXPECT_EQ(config.WeightVectorLength(), 100u + 20u + 1u);
 }
@@ -36,7 +36,7 @@ struct InvalidCase {
 class PolicyConfigInvalidSweep : public ::testing::TestWithParam<InvalidCase> {};
 
 TEST_P(PolicyConfigInvalidSweep, Rejected) {
-  PolicyConfig config = PaperConfig();
+  PolicyConfig config = PythonConfig();
   GetParam().mutate(config);
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
@@ -84,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<InvalidCase>& info) { return info.param.name; });
 
 TEST(PolicyConfigTest, BoundaryValuesAccepted) {
-  PolicyConfig config = PaperConfig();
+  PolicyConfig config = PythonConfig();
   config.alpha = 1.0;  // Pure replacement is legal.
   EXPECT_TRUE(config.Validate().ok());
   config.retain_top_percent = 100.0;
@@ -97,7 +97,7 @@ TEST(PolicyConfigTest, BoundaryValuesAccepted) {
 TEST(PolicyConfigTest, WeightVectorBoundAdmitsEveryConfigInUse) {
   // The largest W in the tree (JVM, W = 200) with the largest beta any
   // bench or perf workload derives from its eviction period (64).
-  PolicyConfig config = PaperConfig();
+  PolicyConfig config = PythonConfig();
   config.max_checkpoint_request = 200;
   config.beta = 64;
   EXPECT_TRUE(config.Validate().ok());

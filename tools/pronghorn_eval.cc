@@ -11,15 +11,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <string>
 
 #include "src/common/flags.h"
-#include "src/common/mathutil.h"
-#include "src/core/baseline_policies.h"
-#include "src/core/request_centric_policy.h"
+#include "src/platform/analysis.h"
+#include "src/platform/evaluation.h"
 #include "src/platform/report_io.h"
-#include "src/platform/simulate.h"
 
 using namespace pronghorn;
 
@@ -29,20 +27,6 @@ int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
-
-struct Combo {
-  std::string benchmark;
-  std::string policy;
-  uint32_t eviction_k = 0;
-  double median_us = 0.0;
-  double p90_us = 0.0;
-  uint64_t checkpoints = 0;
-  // Storage accounting (digest-excluded physical view; flat runs mirror
-  // logical and leave the dedup ratio at 1).
-  uint64_t store_logical_bytes = 0;
-  uint64_t store_physical_bytes = 0;
-  double store_dedup_ratio = 1.0;
-};
 
 }  // namespace
 
@@ -71,65 +55,11 @@ int main(int argc, char** argv) {
     return Fail(InternalError("cannot create '" + out_dir + "': " + ec.message()));
   }
 
-  const uint32_t eviction_rates[] = {1, 4, 20};
-  std::vector<Combo> combos;
-
-  for (const WorkloadProfile* profile : WorkloadRegistry::Default().EvaluationSet()) {
-    for (uint32_t k : eviction_rates) {
-      PolicyConfig config;
-      config.beta = k;
-      config.pool_capacity = 12;
-      config.max_checkpoint_request =
-          profile->family == RuntimeFamily::kJvm ? 200 : 100;
-      const ColdStartPolicy cold(config);
-      const CheckpointAfterFirstPolicy after_first(config);
-      auto request_centric = RequestCentricPolicy::Create(config);
-      if (!request_centric.ok()) {
-        return Fail(request_centric.status());
-      }
-
-      for (const auto& [label, policy] :
-           std::initializer_list<std::pair<const char*, const OrchestrationPolicy*>>{
-               {"cold", &cold},
-               {"after-first", &after_first},
-               {"request-centric", &*request_centric}}) {
-        // The single-function configuration: one worker slot, sub-seed =
-        // options.seed.
-        SimOptions options;
-        options.seed = seed_base + k;
-        options.worker_slots = 1;
-        options.exploring_slots = 1;
-        options.eviction.kind = FleetEvictionSpec::Kind::kEveryK;
-        options.eviction.k = k;
-        SimFunctionSpec spec;
-        spec.name = profile->name;
-        spec.profile = profile;
-        spec.policy = policy;
-        spec.requests = requests;
-        auto report = Simulate(WorkloadRegistry::Default(), SimTopology::kSingle,
-                               std::span<const SimFunctionSpec>(&spec, 1), options);
-        if (!report.ok()) {
-          return Fail(report.status());
-        }
-
-        const std::string file = out_dir + "/" + profile->name + "_" + label +
-                                 "_evict" + std::to_string(k) + ".csv";
-        if (Status s = WriteRecordsCsv(report->flat(), file); !s.ok()) {
-          return Fail(s);
-        }
-        const DistributionSummary summary = report->flat().LatencySummary();
-        const StoreAccounting& store = report->flat().object_store;
-        combos.push_back(Combo{profile->name, label, k, summary.Median(),
-                               summary.Quantile(90), report->flat().checkpoints,
-                               store.logical_bytes_stored,
-                               store.physical.bytes_stored,
-                               store.physical.DedupRatio()});
-      }
-      std::printf(".");
-      std::fflush(stdout);
-    }
+  const auto profiles = WorkloadRegistry::Default().EvaluationSet();
+  auto matrix = RunEvaluationMatrix(profiles, kPaperEvictions, requests, seed_base);
+  if (!matrix.ok()) {
+    return Fail(matrix.status());
   }
-  std::printf("\n");
 
   // summary.csv: one row per combination plus improvement columns.
   const std::string summary_path = out_dir + "/summary.csv";
@@ -140,34 +70,36 @@ int main(int argc, char** argv) {
   summary << "benchmark,policy,eviction_k,median_us,p90_us,checkpoints,"
              "store_logical_bytes,store_physical_bytes,store_dedup_ratio,"
              "improvement_vs_after_first_pct\n";
-  std::map<std::pair<std::string, uint32_t>, double> baseline_medians;
-  for (const Combo& combo : combos) {
-    if (combo.policy == "after-first") {
-      baseline_medians[{combo.benchmark, combo.eviction_k}] = combo.median_us;
+  for (const EvaluationRow& row : matrix->rows) {
+    const std::string& name = row.profile->name;
+    for (size_t p = 0; p < row.reports.size(); ++p) {
+      const SimulationReport& report = row.reports[p];
+      const std::string file = out_dir + "/" + name + "_" + std::string(kPaperPolicies[p]) +
+                               "_evict" + std::to_string(row.eviction_k) + ".csv";
+      if (Status s = WriteRecordsCsv(report, file); !s.ok()) {
+        return Fail(s);
+      }
+      // Storage accounting is the digest-excluded physical view; flat runs
+      // mirror logical and leave the dedup ratio at 1.
+      const DistributionSummary latency = report.LatencySummary();
+      const StoreAccounting& store = report.object_store;
+      summary << name << ',' << kPaperPolicies[p] << ',' << row.eviction_k << ','
+              << latency.Median() << ',' << latency.Quantile(90) << ','
+              << report.checkpoints << ',' << store.logical_bytes_stored << ','
+              << store.physical.bytes_stored << ',' << store.physical.DedupRatio() << ','
+              << MedianImprovementPercent(row.reports[1], report) << '\n';
     }
+    std::printf(".");
   }
-  std::map<uint32_t, std::vector<double>> winners;
-  for (const Combo& combo : combos) {
-    double improvement = 0.0;
-    const auto it = baseline_medians.find({combo.benchmark, combo.eviction_k});
-    if (it != baseline_medians.end() && it->second > 0.0) {
-      improvement = (it->second - combo.median_us) / it->second * 100.0;
-    }
-    if (combo.policy == "request-centric" && improvement > 5.0) {
-      winners[combo.eviction_k].push_back(improvement);
-    }
-    summary << combo.benchmark << ',' << combo.policy << ',' << combo.eviction_k << ','
-            << combo.median_us << ',' << combo.p90_us << ',' << combo.checkpoints << ','
-            << combo.store_logical_bytes << ',' << combo.store_physical_bytes << ','
-            << combo.store_dedup_ratio << ',' << improvement << '\n';
-  }
+  std::printf("\n");
   summary.flush();
 
-  std::printf("wrote %zu per-request CSVs and %s\n", combos.size(),
-              summary_path.c_str());
-  for (const auto& [k, improvements] : winners) {
-    std::printf("eviction %2u: %zu/13 benchmarks improved >5%%, geomean %.1f%%\n", k,
-                improvements.size(), GeometricMean(improvements));
+  std::printf("wrote %zu per-request CSVs and %s\n",
+              matrix->rows.size() * std::size(kPaperPolicies), summary_path.c_str());
+  for (const EvaluationHeadline& headline : matrix->headlines) {
+    std::printf("eviction %2u: %zu/%zu benchmarks improved >5%%, geomean %.1f%%\n",
+                headline.eviction_k, headline.winners.size(), profiles.size(),
+                headline.geomean_percent);
   }
   std::printf("(paper: 9/13 better at eviction 1 with geomean 37.2%%; 22.5%% at 4; "
               "13.5%% at 20)\n");

@@ -56,10 +56,8 @@
 
 #include "src/common/flags.h"
 #include "src/common/thread_pool.h"
-#include "src/core/baseline_policies.h"
-#include "src/core/request_centric_policy.h"
-#include "src/core/stop_condition_policy.h"
 #include "src/obs/sink.h"
+#include "src/platform/evaluation.h"
 #include "src/platform/report_io.h"
 #include "src/platform/simulate.h"
 #include "src/trace/azure_model.h"
@@ -144,99 +142,124 @@ Result<uint32_t> GetUint32Flag(const FlagParser& flags, const std::string& name,
   return static_cast<uint32_t>(value);
 }
 
+// The §5.1 parameters (PaperPolicyConfig) with the --beta/--pool/--w
+// overrides; beta 0 derives from the eviction period, W 0 keeps the
+// per-family default.
 Result<PolicyConfig> MakeConfig(const WorkloadProfile& profile, const FlagParser& flags,
                                 uint64_t eviction_k) {
-  PolicyConfig config;
-  PRONGHORN_ASSIGN_OR_RETURN(config.beta, GetUint32Flag(flags, "beta", 0));
-  if (config.beta == 0) {
-    // Derived from the eviction period; saturates rather than wraps, so an
-    // oversized k fails Validate() instead of aliasing to a small beta.
-    config.beta = eviction_k == 0
-                      ? 4
-                      : static_cast<uint32_t>(std::min<uint64_t>(
-                            eviction_k, std::numeric_limits<uint32_t>::max()));
+  PRONGHORN_ASSIGN_OR_RETURN(uint32_t beta, GetUint32Flag(flags, "beta", 0));
+  if (beta == 0) {
+    // Saturates rather than wraps, so an oversized k fails Validate()
+    // instead of aliasing to a small beta.
+    beta = eviction_k == 0 ? 4
+                           : static_cast<uint32_t>(std::min<uint64_t>(
+                                 eviction_k, std::numeric_limits<uint32_t>::max()));
   }
+  PolicyConfig config = PaperPolicyConfig(profile, beta);
   PRONGHORN_ASSIGN_OR_RETURN(config.pool_capacity, GetUint32Flag(flags, "pool", 1));
-  PRONGHORN_ASSIGN_OR_RETURN(config.max_checkpoint_request,
-                             GetUint32Flag(flags, "w", 0));
-  if (config.max_checkpoint_request == 0) {
-    config.max_checkpoint_request = profile.family == RuntimeFamily::kJvm ? 200 : 100;
+  PRONGHORN_ASSIGN_OR_RETURN(const uint32_t w, GetUint32Flag(flags, "w", 0));
+  if (w != 0) {
+    config.max_checkpoint_request = w;
   }
   PRONGHORN_RETURN_IF_ERROR(config.Validate());
   return config;
 }
 
+// The plan flags below are comma-separated items of colon-separated fields.
+// Split keeps empty fields; ParsePlan skips empty items and parses each other
+// one with `parse_item`.
+std::vector<std::string_view> Split(std::string_view text, char separator) {
+  std::vector<std::string_view> fields;
+  size_t begin = 0;
+  for (size_t end = text.find(separator); end != std::string_view::npos;
+       end = text.find(separator, begin)) {
+    fields.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  fields.push_back(text.substr(begin));
+  return fields;
+}
+
+template <typename T, typename ParseItem>
+Result<std::vector<T>> ParsePlan(std::string_view spec, ParseItem parse_item) {
+  std::vector<T> items;
+  for (const std::string_view item : Split(spec, ',')) {
+    if (!item.empty()) {
+      PRONGHORN_ASSIGN_OR_RETURN(T parsed, parse_item(item));
+      items.push_back(parsed);
+    }
+  }
+  return items;
+}
+
+// One plan field: a string field verbatim, a numeric one parsed whole.
+bool ParseField(std::string_view text, std::string_view& out) {
+  out = text;
+  return true;
+}
+
+template <typename T>
+bool ParseField(std::string_view text, T& out) {
+  const std::optional<T> value = ParseWhole<T>(text);
+  if (value.has_value()) {
+    out = *value;
+  }
+  return value.has_value();
+}
+
+// Parses `item` into `out...`: true only when it has exactly that many
+// colon-separated fields and each parses.
+template <typename... T>
+bool ParseFields(std::string_view item, T&... out) {
+  const std::vector<std::string_view> fields = Split(item, ':');
+  size_t i = 0;
+  return fields.size() == sizeof...(T) && (ParseField(fields[i++], out) && ...);
+}
+
 // Grammar: "start:end" (seconds) with an optional "@store" / "@db" domain
 // suffix, comma-separated. Example: --fault-outage 10:12@db,30:31
-Result<std::vector<FaultWindow>> ParseOutageWindows(const std::string& spec) {
-  std::vector<FaultWindow> windows;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t end = spec.find(',', pos);
-    if (end == std::string::npos) {
-      end = spec.size();
-    }
-    std::string item = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) {
-      continue;
-    }
+Result<std::vector<FaultWindow>> ParseOutageWindows(std::string_view spec) {
+  return ParsePlan<FaultWindow>(spec, [](std::string_view item) -> Result<FaultWindow> {
     FaultWindow window;
     window.kind = FaultWindow::Kind::kOutage;
-    const size_t at = item.find('@');
-    if (at != std::string::npos) {
-      const std::string domain = item.substr(at + 1);
+    if (const size_t at = item.find('@'); at != std::string_view::npos) {
+      const std::string_view domain = item.substr(at + 1);
       if (domain == "store") {
         window.domain = FaultDomain::kObjectStore;
       } else if (domain == "db") {
         window.domain = FaultDomain::kDatabase;
       } else {
         return InvalidArgumentError("outage domain must be 'store' or 'db', got '" +
-                                    domain + "'");
+                                    std::string(domain) + "'");
       }
       item = item.substr(0, at);
     }
-    const size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      return InvalidArgumentError("outage window needs start:end, got '" + item + "'");
+    double start = 0;
+    double stop = 0;
+    if (!ParseFields(item, start, stop)) {
+      return InvalidArgumentError("outage window needs start:end, got '" +
+                                  std::string(item) + "'");
     }
-    const double start = std::strtod(item.c_str(), nullptr);
-    const double stop = std::strtod(item.c_str() + colon + 1, nullptr);
     if (stop <= start) {
       return InvalidArgumentError("outage window end must be after start");
     }
     window.start = TimePoint() + Duration::Seconds(start);
     window.end = TimePoint() + Duration::Seconds(stop);
-    windows.push_back(window);
-  }
-  return windows;
+    return window;
+  });
 }
 
 // Grammar: "start:end:extra_ms" (seconds, seconds, milliseconds),
 // comma-separated. Example: --fault-latency 5:8:250
-Result<std::vector<FaultWindow>> ParseLatencyWindows(const std::string& spec) {
-  std::vector<FaultWindow> windows;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t end = spec.find(',', pos);
-    if (end == std::string::npos) {
-      end = spec.size();
+Result<std::vector<FaultWindow>> ParseLatencyWindows(std::string_view spec) {
+  return ParsePlan<FaultWindow>(spec, [](std::string_view item) -> Result<FaultWindow> {
+    double start = 0;
+    double stop = 0;
+    double extra_ms = 0;
+    if (!ParseFields(item, start, stop, extra_ms)) {
+      return InvalidArgumentError("latency window needs start:end:ms, got '" +
+                                  std::string(item) + "'");
     }
-    const std::string item = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) {
-      continue;
-    }
-    const size_t first = item.find(':');
-    const size_t second = first == std::string::npos ? std::string::npos
-                                                     : item.find(':', first + 1);
-    if (second == std::string::npos) {
-      return InvalidArgumentError("latency window needs start:end:ms, got '" + item +
-                                  "'");
-    }
-    const double start = std::strtod(item.c_str(), nullptr);
-    const double stop = std::strtod(item.c_str() + first + 1, nullptr);
-    const double extra_ms = std::strtod(item.c_str() + second + 1, nullptr);
     if (stop <= start || extra_ms <= 0) {
       return InvalidArgumentError("latency window needs end > start and ms > 0");
     }
@@ -245,36 +268,20 @@ Result<std::vector<FaultWindow>> ParseLatencyWindows(const std::string& spec) {
     window.start = TimePoint() + Duration::Seconds(start);
     window.end = TimePoint() + Duration::Seconds(stop);
     window.extra_latency = Duration::Millis(static_cast<int64_t>(extra_ms));
-    windows.push_back(window);
-  }
-  return windows;
+    return window;
+  });
 }
 
 // Grammar: "shard:op:stage", comma-separated; stage is one of enqueue,
 // mid-batch, pre-truncate. Example: --crash-plan 0:25:mid-batch,2:40:enqueue
-Result<std::vector<ServiceCrash>> ParseCrashPlan(const std::string& spec) {
-  std::vector<ServiceCrash> crashes;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t end = spec.find(',', pos);
-    if (end == std::string::npos) {
-      end = spec.size();
-    }
-    const std::string item = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) {
-      continue;
-    }
-    const size_t first = item.find(':');
-    const size_t second = first == std::string::npos ? std::string::npos
-                                                     : item.find(':', first + 1);
-    if (second == std::string::npos) {
-      return InvalidArgumentError("crash needs shard:op:stage, got '" + item + "'");
-    }
+Result<std::vector<ServiceCrash>> ParseCrashPlan(std::string_view spec) {
+  return ParsePlan<ServiceCrash>(spec, [](std::string_view item) -> Result<ServiceCrash> {
     ServiceCrash crash;
-    crash.shard = static_cast<uint32_t>(std::strtoul(item.c_str(), nullptr, 10));
-    crash.at_op = std::strtoull(item.c_str() + first + 1, nullptr, 10);
-    const std::string stage = item.substr(second + 1);
+    std::string_view stage;
+    if (!ParseFields(item, crash.shard, crash.at_op, stage)) {
+      return InvalidArgumentError("crash needs shard:op:stage, got '" +
+                                  std::string(item) + "'");
+    }
     if (stage == "enqueue") {
       crash.stage = ServiceCrashStage::kEnqueue;
     } else if (stage == "mid-batch") {
@@ -284,47 +291,28 @@ Result<std::vector<ServiceCrash>> ParseCrashPlan(const std::string& spec) {
     } else {
       return InvalidArgumentError(
           "crash stage must be enqueue, mid-batch, or pre-truncate; got '" +
-          stage + "'");
+          std::string(stage) + "'");
     }
     if (crash.at_op == 0) {
       return InvalidArgumentError("crash op index is 1-based; got 0");
     }
-    crashes.push_back(crash);
-  }
-  return crashes;
+    return crash;
+  });
 }
 
 // Grammar: "shard:op:wall_ms", comma-separated. Example: --stall-plan 1:10:50
-Result<std::vector<ServiceStall>> ParseStallPlan(const std::string& spec) {
-  std::vector<ServiceStall> stalls;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t end = spec.find(',', pos);
-    if (end == std::string::npos) {
-      end = spec.size();
-    }
-    const std::string item = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) {
-      continue;
-    }
-    const size_t first = item.find(':');
-    const size_t second = first == std::string::npos ? std::string::npos
-                                                     : item.find(':', first + 1);
-    if (second == std::string::npos) {
-      return InvalidArgumentError("stall needs shard:op:ms, got '" + item + "'");
-    }
+Result<std::vector<ServiceStall>> ParseStallPlan(std::string_view spec) {
+  return ParsePlan<ServiceStall>(spec, [](std::string_view item) -> Result<ServiceStall> {
     ServiceStall stall;
-    stall.shard = static_cast<uint32_t>(std::strtoul(item.c_str(), nullptr, 10));
-    stall.at_op = std::strtoull(item.c_str() + first + 1, nullptr, 10);
-    stall.wall_millis =
-        static_cast<uint32_t>(std::strtoul(item.c_str() + second + 1, nullptr, 10));
+    if (!ParseFields(item, stall.shard, stall.at_op, stall.wall_millis)) {
+      return InvalidArgumentError("stall needs shard:op:ms, got '" + std::string(item) +
+                                  "'");
+    }
     if (stall.at_op == 0 || stall.wall_millis == 0) {
       return InvalidArgumentError("stall needs a 1-based op and ms > 0");
     }
-    stalls.push_back(stall);
-  }
-  return stalls;
+    return stall;
+  });
 }
 
 Result<FaultPlan> ParseFaultPlan(const FlagParser& flags) {
@@ -584,43 +572,17 @@ void PrintFaultLine(const FaultRecoveryStats& faults) {
               static_cast<unsigned long long>(faults.checkpoints_skipped));
 }
 
-// A policy plus whatever inner policy it wraps (stop-condition keeps per-
-// instance exploration state, so fleet mode builds one pair per deployment).
-struct OwnedPolicy {
-  std::unique_ptr<OrchestrationPolicy> policy;
-  std::unique_ptr<RequestCentricPolicy> inner;
-};
-
-// Builds the --policy policy; --explore-budget sizes stop-condition's
+// MakePolicy for --policy; --explore-budget sizes stop-condition's
 // exploration (0 = the paper's W + 100 bound).
-Result<OwnedPolicy> BuildPolicy(const FlagParser& flags, const PolicyConfig& config) {
-  const std::string name = *flags.GetString("policy");
+Result<std::unique_ptr<OrchestrationPolicy>> PolicyFromFlags(const FlagParser& flags,
+                                                             const PolicyConfig& config) {
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t explore_budget,
                              flags.GetInt("explore-budget"));
   if (explore_budget < 0) {
     return InvalidArgumentError("--explore-budget must be non-negative");
   }
-  OwnedPolicy owned;
-  if (name == "cold") {
-    owned.policy = std::make_unique<ColdStartPolicy>(config);
-  } else if (name == "after-first") {
-    owned.policy = std::make_unique<CheckpointAfterFirstPolicy>(config);
-  } else if (name == "request-centric" || name == "stop-condition") {
-    PRONGHORN_ASSIGN_OR_RETURN(auto rc, RequestCentricPolicy::Create(config));
-    if (name == "request-centric") {
-      owned.policy = std::make_unique<RequestCentricPolicy>(std::move(rc));
-    } else {
-      owned.inner = std::make_unique<RequestCentricPolicy>(std::move(rc));
-      uint64_t budget = static_cast<uint64_t>(explore_budget);
-      if (budget == 0) {
-        budget = config.max_checkpoint_request + 100;  // The paper's bound.
-      }
-      owned.policy = std::make_unique<StopConditionPolicy>(*owned.inner, budget);
-    }
-  } else {
-    return InvalidArgumentError("unknown policy '" + name + "'");
-  }
-  return owned;
+  return MakePolicy(*flags.GetString("policy"), config,
+                    static_cast<uint64_t>(explore_budget));
 }
 
 // Fleet mode: scales one deployment's closed-loop request count by how much
@@ -650,7 +612,7 @@ uint64_t MixScaledRequests(uint64_t requests, ArrivalMix mix, uint64_t seed,
 Result<std::vector<SimFunctionSpec>> BuildEvaluationSpecs(
     const FlagParser& flags, int64_t count, uint64_t requests,
     uint64_t eviction_k, bool unique_names,
-    std::vector<OwnedPolicy>& policies, const ArrivalMix* mix = nullptr) {
+    std::vector<std::unique_ptr<OrchestrationPolicy>>& policies, const ArrivalMix* mix = nullptr) {
   const auto evaluation = WorkloadRegistry::Default().EvaluationSet();
   PRONGHORN_ASSIGN_OR_RETURN(const int64_t seed, flags.GetInt("seed"));
   std::vector<SimFunctionSpec> specs;
@@ -661,7 +623,8 @@ Result<std::vector<SimFunctionSpec>> BuildEvaluationSpecs(
         *evaluation[static_cast<size_t>(i) % evaluation.size()];
     PRONGHORN_ASSIGN_OR_RETURN(PolicyConfig config,
                                MakeConfig(profile, flags, eviction_k));
-    PRONGHORN_ASSIGN_OR_RETURN(OwnedPolicy policy, BuildPolicy(flags, config));
+    PRONGHORN_ASSIGN_OR_RETURN(std::unique_ptr<OrchestrationPolicy> policy,
+                               PolicyFromFlags(flags, config));
     policies.push_back(std::move(policy));
 
     SimFunctionSpec spec;
@@ -674,7 +637,7 @@ Result<std::vector<SimFunctionSpec>> BuildEvaluationSpecs(
       spec.name = profile.name;
     }
     spec.profile = &profile;
-    spec.policy = policies.back().policy.get();
+    spec.policy = policies.back().get();
     spec.requests =
         mix == nullptr
             ? requests
@@ -705,7 +668,7 @@ int RunFleet(const FlagParser& flags, SimOptions options, uint64_t requests) {
   if (!mix.ok()) {
     return Fail(mix.status());
   }
-  std::vector<OwnedPolicy> policies;
+  std::vector<std::unique_ptr<OrchestrationPolicy>> policies;
   auto specs = BuildEvaluationSpecs(flags, fleet_size, requests,
                                     EvictionK(options.eviction),
                                     /*unique_names=*/true, policies, &*mix);
@@ -804,7 +767,7 @@ int RunPlatform(const FlagParser& flags, const SimOptions& options,
         " (the evaluation set; deployments are keyed by function name)"));
   }
 
-  std::vector<OwnedPolicy> policies;
+  std::vector<std::unique_ptr<OrchestrationPolicy>> policies;
   auto specs = BuildEvaluationSpecs(flags, platform_size, requests,
                                     EvictionK(options.eviction),
                                     /*unique_names=*/false, policies);
@@ -856,9 +819,9 @@ int RunSingle(const FlagParser& flags, SimOptions options, uint64_t requests) {
     return Fail(config.status());
   }
 
-  auto owned_policy = BuildPolicy(flags, *config);
-  if (!owned_policy.ok()) {
-    return Fail(owned_policy.status());
+  auto policy = PolicyFromFlags(flags, *config);
+  if (!policy.ok()) {
+    return Fail(policy.status());
   }
 
   // Single-function topology: one worker slot.
@@ -868,7 +831,7 @@ int RunSingle(const FlagParser& flags, SimOptions options, uint64_t requests) {
   SimFunctionSpec spec;
   spec.name = benchmark;
   spec.profile = *profile;
-  spec.policy = owned_policy->policy.get();
+  spec.policy = policy->get();
   spec.requests = requests;
 
   const std::unique_ptr<StandardObs> obs = MakeObsSink(flags);
