@@ -3,8 +3,7 @@
 // Figure 7 overheads are dominated by database round trips, but the CPU cost
 // of softmax selection, EWMA updates, pool pruning, and snapshot codecs is
 // what a production (non-Python) orchestrator implementation would pay.
-// The vectorized kernels alone (softmax, weight fold) are timed against their
-// scalar references by perf_suite's gated micro_policy_ops rows.
+// These rows are not gated; perf_suite's end-to-end rows are the perf gate.
 
 #include <benchmark/benchmark.h>
 

@@ -1,5 +1,5 @@
 // Unified perf-regression suite: the repo's one perf harness. One binary,
-// five sections, one versioned JSON. CI runs this and diffs
+// four sections, one versioned JSON. CI runs this and diffs
 // BENCH_perf_suite.json against the committed baseline with
 // tools/bench_compare.py, so a PR that quietly regresses a hot path by more
 // than the per-metric budget fails the perf-regression job.
@@ -9,8 +9,6 @@
 //                      hardware-clamped worker count; also re-proves the
 //                      standing invariant that digests are bit-identical at
 //                      --threads {1, 2, 8} both clean and under chaos.
-//   micro_policy_ops   the vectorized kernels vs their scalar-reference
-//                      reimplementations (softmax n=13, weight-fold n=200).
 //   service_throughput the live-service mode end to end through Simulate,
 //                      plus the deferred group-commit path driven directly
 //                      by client threads, journal off and on; every
@@ -45,7 +43,6 @@
 
 #include "bench/exhibit_common.h"
 #include "src/checkpoint/criu_like_engine.h"
-#include "src/common/mathutil.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/request_centric_policy.h"
@@ -85,8 +82,8 @@ constexpr double kMinRepSeconds = 0.2;
 constexpr double kMinWarmupSeconds = 1.0;
 constexpr int kTimedReps = 9;
 
-// One value per round (a body's seconds per call, or a speedup row's
-// ratios), their median and their median absolute deviation.
+// One value per round (a body's seconds per call), their median and their
+// median absolute deviation.
 struct TimingSample {
   std::vector<double> reps;
   double median = 0.0;
@@ -249,21 +246,6 @@ void AddRate(const std::string& name, double units, const char* unit,
   AddMetric(name, units / timing.median, unit, "higher", timing.SpreadPct());
 }
 
-// A speedup row: the median over rounds of reference seconds over optimized
-// seconds. The two bodies are registered back to back, so each round times
-// them one right after the other and a slow phase of the host slows both
-// halves of a round's ratio alike.
-void AddSpeedup(const std::string& name, const TimingSample& optimized,
-                const TimingSample& reference) {
-  std::vector<double> ratios;
-  ratios.reserve(optimized.reps.size());
-  for (size_t round = 0; round < optimized.reps.size(); ++round) {
-    ratios.push_back(reference.reps[round] / optimized.reps[round]);
-  }
-  const TimingSample speedup = Summarize(std::move(ratios));
-  AddMetric(name, speedup.median, "x", "higher", speedup.SpreadPct());
-}
-
 // --- Run plan -----------------------------------------------------------------
 //
 // Sections build their fixtures and register timed bodies plus report steps;
@@ -289,19 +271,6 @@ void AddRateRow(std::string name, double units, const char* unit, Body body) {
   const size_t index = AddBody(std::move(body));
   AddReport([name = std::move(name), units, unit, index] {
     AddRate(name, units, unit, g_samples[index]);
-  });
-}
-
-// Registers a throughput row on the optimized body and a speedup row over
-// the reference body (see AddSpeedup).
-void AddKernelRows(std::string rate_name, std::string speedup_name, double units,
-                   const char* unit, Body optimized, Body reference) {
-  const size_t fast = AddBody(std::move(optimized));
-  const size_t slow = AddBody(std::move(reference));
-  AddReport([rate_name = std::move(rate_name), speedup_name = std::move(speedup_name),
-             units, unit, fast, slow] {
-    AddRate(rate_name, units, unit, g_samples[fast]);
-    AddSpeedup(speedup_name, g_samples[fast], g_samples[slow]);
   });
 }
 
@@ -415,78 +384,6 @@ void SectionFleetWallclock() {
                   identical ? "bit-identical" : "DIVERGED");
     });
   }
-}
-
-// --- Section: micro_policy_ops ----------------------------------------------
-
-std::vector<double> RandomValues(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> values(n);
-  for (double& v : values) {
-    v = rng.UniformDouble() * 20.0;
-  }
-  return values;
-}
-
-// The pre-optimization softmax, verbatim: allocate per call, scalar loops.
-std::vector<double> SoftmaxScalarReference(std::span<const double> logits,
-                                           double temperature) {
-  std::vector<double> out;
-  if (logits.empty()) {
-    return out;
-  }
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  out.reserve(logits.size());
-  double total = 0.0;
-  for (double logit : logits) {
-    const double e = std::exp((logit - max_logit) / temperature);
-    out.push_back(e);
-    total += e;
-  }
-  for (double& p : out) {
-    p /= total;
-  }
-  return out;
-}
-
-void SectionMicroPolicyOps() {
-  AddSectionHeader("micro_policy_ops");
-  constexpr int kIters = 200000;
-
-  // Softmax at the policy's candidate count (pool capacity 12 + cold start).
-  const auto logits = std::make_shared<const std::vector<double>>(RandomValues(13, 11));
-  AddKernelRows(
-      "softmax13_optimized_mops", "softmax13_speedup_vs_scalar", kIters / 1e6, "Mops/s",
-      [logits, out = std::vector<double>(logits->size())]() mutable {
-        for (int i = 0; i < kIters; ++i) {
-          SoftmaxInto(*logits, 1.0, out);
-        }
-      },
-      [logits] {
-        volatile double sink = 0.0;
-        for (int i = 0; i < kIters; ++i) {
-          auto probs = SoftmaxScalarReference(*logits, 1.0);
-          sink = sink + probs[0];
-        }
-      });
-
-  // The weight-fold kernel over the JVM learning window W = 200.
-  const auto values = std::make_shared<const std::vector<double>>(RandomValues(200, 12));
-  AddKernelRows(
-      "weight_fold200_optimized_melems", "weight_fold200_speedup_vs_scalar",
-      kIters * static_cast<double>(values->size()) / 1e6, "Melem/s",
-      [values, out = std::vector<double>(values->size())]() mutable {
-        for (int i = 0; i < kIters; ++i) {
-          InverseWeightsInto(*values, 0.01, out);
-        }
-      },
-      [values, out = std::vector<double>(values->size())]() mutable {
-        for (int i = 0; i < kIters; ++i) {
-          for (size_t j = 0; j < values->size(); ++j) {
-            out[j] = InverseWeight((*values)[j], 0.01);
-          }
-        }
-      });
 }
 
 // --- Section: service_throughput --------------------------------------------
@@ -816,7 +713,6 @@ int main() {
               PERF_SUITE_COMPILER, PERF_SUITE_CXX_FLAGS);
 
   SectionFleetWallclock();
-  SectionMicroPolicyOps();
   SectionServiceThroughput();
   SectionFleetScale();
   SectionStorageDedup();

@@ -3,103 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define PRONGHORN_HAVE_AVX2_PATH 1
-#endif
-
 namespace pronghorn {
-namespace {
-
-// Runtime CPU dispatch for the element-wise kernels. Every SIMD lane
-// performs the same IEEE-754 operation the scalar loop performs on the same
-// element, so results are bit-identical whichever path runs — the digest
-// tests would catch any deviation.
-#ifdef PRONGHORN_HAVE_AVX2_PATH
-bool HasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
-__attribute__((target("avx2"))) void InverseWeightsAvx2(const double* values,
-                                                        size_t n, double mu,
-                                                        double* out) {
-  const __m256d ones = _mm256_set1_pd(1.0);
-  const __m256d mus = _mm256_set1_pd(mu);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(values + i);
-    _mm256_storeu_pd(out + i, _mm256_div_pd(ones, _mm256_add_pd(v, mus)));
-  }
-  for (; i < n; ++i) {
-    out[i] = 1.0 / (values[i] + mu);
-  }
-}
-
-__attribute__((target("avx2"))) void ScaleAvx2(double* values, size_t n,
-                                               double divisor) {
-  const __m256d d = _mm256_set1_pd(divisor);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(values + i, _mm256_div_pd(_mm256_loadu_pd(values + i), d));
-  }
-  for (; i < n; ++i) {
-    values[i] /= divisor;
-  }
-}
-
-__attribute__((target("avx2"))) double MaxAvx2(const double* values, size_t n) {
-  // NaN-free inputs make max associative/commutative, so a lane-wise
-  // reduction returns the same value as the ordered scan.
-  __m256d best = _mm256_set1_pd(values[0]);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    best = _mm256_max_pd(best, _mm256_loadu_pd(values + i));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, best);
-  double m = std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
-  for (; i < n; ++i) {
-    m = std::max(m, values[i]);
-  }
-  return m;
-}
-#endif  // PRONGHORN_HAVE_AVX2_PATH
-
-void InverseWeightsScalar(const double* values, size_t n, double mu, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = 1.0 / (values[i] + mu);
-  }
-}
-
-}  // namespace
 
 void InverseWeightsInto(std::span<const double> values, double mu,
                         std::span<double> out) {
-#ifdef PRONGHORN_HAVE_AVX2_PATH
-  if (HasAvx2()) {
-    InverseWeightsAvx2(values.data(), values.size(), mu, out.data());
-    return;
+  for (size_t i = 0; i < values.size(); ++i) {
+    out[i] = 1.0 / (values[i] + mu);
   }
-#endif
-  InverseWeightsScalar(values.data(), values.size(), mu, out.data());
-}
-
-double OrderedSum(std::span<const double> values) {
-  double sum = 0.0;
-  for (double v : values) {
-    sum += v;
-  }
-  return sum;
-}
-
-double MaxValue(std::span<const double> values) {
-#ifdef PRONGHORN_HAVE_AVX2_PATH
-  if (HasAvx2() && values.size() >= 4) {
-    return MaxAvx2(values.data(), values.size());
-  }
-#endif
-  return *std::max_element(values.begin(), values.end());
 }
 
 void SoftmaxInto(std::span<const double> logits, double temperature,
@@ -110,7 +20,7 @@ void SoftmaxInto(std::span<const double> logits, double temperature,
   if (temperature <= 0.0) {
     temperature = 1.0;
   }
-  const double max_logit = MaxValue(logits);
+  const double max_logit = *std::max_element(logits.begin(), logits.end());
   // exp accumulation stays scalar and in order: the total feeds the
   // normalization, and reassociating it would change bits.
   double total = 0.0;
@@ -130,12 +40,6 @@ void SoftmaxInto(std::span<const double> logits, double temperature,
       total += e;
     }
   }
-#ifdef PRONGHORN_HAVE_AVX2_PATH
-  if (HasAvx2()) {
-    ScaleAvx2(out.data(), out.size(), total);
-    return;
-  }
-#endif
   for (double& p : out) {
     p /= total;
   }

@@ -19,27 +19,17 @@ std::vector<double> Softmax(std::span<const double> logits, double temperature =
 
 // Allocation-free softmax into caller-provided storage (out.size() must equal
 // logits.size()). Bit-for-bit identical to Softmax(): the max scan and the
-// final normalization are element-wise IEEE operations (vectorized where the
-// CPU supports it — per-element division and max round identically in SIMD
-// and scalar form), while the exp accumulation keeps the scalar left-to-right
-// order the report digests pin. tests/vector_math_test.cc holds the
-// equivalence property across random inputs, temperatures, and sizes.
+// final normalization are element-wise IEEE operations, and the exp
+// accumulation runs left to right, the order the report digests pin.
+// tests/vector_math_test.cc holds the equivalence property across random
+// inputs, temperatures, and sizes.
 void SoftmaxInto(std::span<const double> logits, double temperature,
                  std::span<double> out);
 
-// out[i] = 1 / (values[i] + mu) for every i. Element-wise (no cross-lane
-// arithmetic), so the SIMD path is bit-identical to the scalar loop; this is
-// the bulk form of InverseWeight used by the weight-vector caches and folds.
+// out[i] = 1 / (values[i] + mu) for every i: the bulk form of InverseWeight
+// used by the weight-vector caches and folds.
 void InverseWeightsInto(std::span<const double> values, double mu,
                         std::span<double> out);
-
-// Strict left-to-right scalar sum — the fold order every digest-covered
-// accumulation must preserve (never vectorized: reassociation changes bits).
-double OrderedSum(std::span<const double> values);
-
-// Maximum over a non-empty span. Values must be NaN-free; equal to
-// *std::max_element for such inputs whichever lanes the reduction uses.
-double MaxValue(std::span<const double> values);
 
 // EWMA update used by the policy's knowledge step (Algorithm 1, part 3):
 // new = alpha * sample + (1 - alpha) * old.

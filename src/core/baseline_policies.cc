@@ -36,7 +36,8 @@ StartDecision CheckpointAfterFirstPolicy::OnWorkerStart(const PolicyState& state
   } else {
     // Always resume from the one-and-only snapshot.
     decision.restore_from = state.pool.entries().front().metadata.id;
-    decision.restore_candidates = {*decision.restore_from};
+    decision.restore_candidates[0] = *decision.restore_from;
+    decision.restore_candidate_count = 1;
   }
   return decision;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,12 +172,9 @@ Result<WorkerSession> Orchestrator::StartWorker() {
       costs_.decision_per_snapshot_cost * static_cast<double>(state.pool.size());
 
   // Walk the policy's ranked candidates (best first) until one restores.
-  StartDecision::CandidateList candidates = decision.restore_candidates;
+  std::span<const SnapshotId> candidates = decision.candidates();
   if (candidates.empty() && decision.restore_from.has_value()) {
-    candidates.push_back(*decision.restore_from);
-  }
-  if (candidates.size() > recovery_options_.max_restore_candidates) {
-    candidates.resize(recovery_options_.max_restore_candidates);
+    candidates = std::span<const SnapshotId>(&*decision.restore_from, 1);
   }
 
   std::optional<WorkerSession> session;

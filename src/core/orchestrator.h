@@ -60,8 +60,6 @@ struct RecoveryOptions {
   Duration backoff_base = Duration::Millis(5);
   double backoff_multiplier = 2.0;
   Duration backoff_cap = Duration::Millis(200);
-  // How many ranked pool candidates StartWorker tries before cold-starting.
-  size_t max_restore_candidates = 3;
   // A snapshot whose image fails to decode/restore this many times is
   // quarantined: evicted from the pool, its failure ledger cleared, and its
   // blob deleted from the object store.

@@ -8,16 +8,18 @@
 #ifndef PRONGHORN_SRC_CORE_POLICY_H_
 #define PRONGHORN_SRC_CORE_POLICY_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "src/checkpoint/snapshot.h"
 #include "src/common/clock.h"
 #include "src/common/rng.h"
-#include "src/common/small_vector.h"
 #include "src/core/policy_config.h"
 #include "src/core/snapshot_pool.h"
 #include "src/core/weight_vector.h"
@@ -50,18 +52,24 @@ struct PolicyState {
   bool operator==(const PolicyState&) const = default;
 };
 
+// How many ranked pool candidates a worker start tries before cold-starting.
+inline constexpr size_t kMaxRestoreCandidates = 3;
+
 // Decisions made when a new worker launches (Algorithm 1, parts 1 and 2).
 struct StartDecision {
-  // Inline capacity covering the paper's pool (C = 12, plus one in-flight):
-  // decisions in the steady state never touch the heap.
-  using CandidateList = SmallVector<SnapshotId, 16>;
+  // The ranked fallback candidates in use, best first.
+  std::span<const SnapshotId> candidates() const {
+    return {restore_candidates.data(), restore_candidate_count};
+  }
 
   // Snapshot to restore from; nullopt means cold start.
   std::optional<SnapshotId> restore_from;
-  // Ranked fallback candidates, best first; when non-empty the front entry
-  // equals restore_from. The orchestrator walks this list when a restore
-  // attempt fails (missing object, corrupt image) before cold-starting.
-  CandidateList restore_candidates;
+  // The first `restore_candidate_count` entries are the policy's ranking,
+  // best first; when non-empty the front entry equals restore_from. The
+  // orchestrator walks them when a restore attempt fails (missing object,
+  // corrupt image) before cold-starting.
+  std::array<SnapshotId, kMaxRestoreCandidates> restore_candidates{};
+  size_t restore_candidate_count = 0;
   // Absolute request number (JIT maturity) at which to checkpoint this
   // worker; nullopt means never.
   std::optional<uint64_t> checkpoint_at_request;

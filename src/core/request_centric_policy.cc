@@ -3,23 +3,31 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/mathutil.h"
 
 namespace pronghorn {
 
 namespace {
 
-// Per-thread decision scratch. One policy instance is shared across every
-// shard thread (it holds no per-call state), and each worker slot's decision
-// runs on exactly one thread, so a thread-local bump arena gives every slot
-// private scratch without locks. Reset() at the top of each decision rewinds
-// the cursor; after the first decision warms the retained block, the steady
-// state performs zero heap allocations (tests/alloc_hook_test.cc).
-Arena& DecisionArena() {
-  thread_local Arena arena(4 * 1024);
-  return arena;
+// Per-thread decision scratch, kept as parallel (SoA) arrays so the scoring
+// scans run over contiguous doubles. One policy instance is shared across
+// every shard thread (it holds no per-call state), and each decision runs on
+// exactly one thread, so thread-local vectors give every decision private
+// scratch without locks. They keep their capacity between decisions: once
+// the first decision has sized them, the steady state performs zero heap
+// allocations (tests/alloc_hook_test.cc).
+struct DecisionScratch {
+  std::vector<double> weights;
+  std::vector<double> probabilities;
+  std::vector<uint64_t> ids;
+  std::vector<size_t> order;
+};
+
+DecisionScratch& ThreadScratch() {
+  thread_local DecisionScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -75,29 +83,29 @@ StartDecision RequestCentricPolicy::OnWorkerStart(const PolicyState& state,
     // restore choice; the remaining entries are ranked by probability
     // (descending, ties by recency) to give the orchestrator a deterministic
     // fallback order when a restore attempt fails (missing or corrupt
-    // image). Ranking consumes no randomness, so fault-free trajectories are
-    // identical to a policy without fallback candidates.
-    //
-    // All scratch lives in the per-thread arena as parallel (SoA) arrays —
-    // weights, probabilities, ids, sort order — so the whole decision is
-    // allocation-free and the scoring scans run over contiguous doubles.
-    Arena& arena = DecisionArena();
-    arena.Reset();
+    // image); the top kMaxRestoreCandidates become the decision's
+    // candidates. Ranking consumes no randomness, so fault-free trajectories
+    // are identical to a policy without fallback candidates.
+    DecisionScratch& scratch = ThreadScratch();
     const auto entries = state.pool.entries();
     const size_t count = entries.size();
-    const std::span<double> weights = arena.AllocateSpan<double>(count);
+    std::vector<double>& weights = scratch.weights;
+    weights.resize(count);
     for (size_t i = 0; i < count; ++i) {
       weights[i] = state.theta.LifetimeWeight(entries[i].metadata.request_number,
                                               config_.beta, config_.mu);
     }
-    const std::span<double> probabilities = arena.AllocateSpan<double>(count);
+    std::vector<double>& probabilities = scratch.probabilities;
+    probabilities.resize(count);
     SoftmaxInto(weights, config_.softmax_temperature, probabilities);
     const size_t first_index = rng.WeightedIndex(probabilities);
-    const std::span<uint64_t> ids = arena.AllocateSpan<uint64_t>(count);
+    std::vector<uint64_t>& ids = scratch.ids;
+    ids.resize(count);
     for (size_t i = 0; i < count; ++i) {
       ids[i] = entries[i].metadata.id.value;
     }
-    const std::span<size_t> order = arena.AllocateSpan<size_t>(count);
+    std::vector<size_t>& order = scratch.order;
+    order.resize(count);
     std::iota(order.begin(), order.end(), size_t{0});
     // The drawn snapshot always ranks first; the rest sort by probability
     // (descending, ties by recency). Swapping it to the front and sorting
@@ -111,9 +119,9 @@ StartDecision RequestCentricPolicy::OnWorkerStart(const PolicyState& state,
       }
       return ids[a] > ids[b];
     });
-    decision.restore_candidates.reserve(count);
-    for (const size_t index : order) {
-      decision.restore_candidates.push_back(entries[index].metadata.id);
+    decision.restore_candidate_count = std::min(count, kMaxRestoreCandidates);
+    for (size_t rank = 0; rank < decision.restore_candidate_count; ++rank) {
+      decision.restore_candidates[rank] = entries[order[rank]].metadata.id;
     }
     const PoolEntry& chosen = entries[first_index];
     decision.restore_from = chosen.metadata.id;

@@ -21,7 +21,8 @@ StartDecision StopConditionPolicy::OnWorkerStart(const PolicyState& state,
   }
   // Rank the full pool by learned lifetime weight (descending), ties broken
   // by recency, so restore failures fall back to the second-best snapshot
-  // rather than straight to a cold start.
+  // rather than straight to a cold start. The top kMaxRestoreCandidates
+  // become the decision's candidates.
   std::vector<double> weights;
   weights.reserve(entries.size());
   for (const PoolEntry& entry : entries) {
@@ -36,9 +37,9 @@ StartDecision StopConditionPolicy::OnWorkerStart(const PolicyState& state,
     }
     return entries[a].metadata.id.value > entries[b].metadata.id.value;
   });
-  decision.restore_candidates.reserve(order.size());
-  for (const size_t index : order) {
-    decision.restore_candidates.push_back(entries[index].metadata.id);
+  decision.restore_candidate_count = std::min(order.size(), kMaxRestoreCandidates);
+  for (size_t rank = 0; rank < decision.restore_candidate_count; ++rank) {
+    decision.restore_candidates[rank] = entries[order[rank]].metadata.id;
   }
   decision.restore_from = decision.restore_candidates.front();
   return decision;

@@ -62,8 +62,8 @@ void WeightVector::EnsureInverseCache(double mu) const {
     return;
   }
   inv_.resize(values_.size());
-  // Bulk element-wise rebuild (SIMD where available; bit-identical to the
-  // scalar InverseWeight loop — see mathutil.h).
+  // Bulk element-wise rebuild (bit-identical to the InverseWeight loop —
+  // see mathutil.h).
   InverseWeightsInto(values_, mu, inv_);
   inv_mu_ = mu;
   inv_valid_ = true;
@@ -93,11 +93,10 @@ double WeightVector::NaiveLifetimeWeight(uint64_t start, uint32_t beta,
   // Entries beyond the learned window contribute as unexplored (theta = 0),
   // keeping the exploration bonus for snapshots near the window's edge.
   //
-  // The fold is restructured for the vector units without changing a bit:
-  // the divisions 1/(theta[i]+mu) are independent element-wise operations
-  // (computed in SIMD chunks through a stack buffer), while the additions
-  // stay scalar in the original left-to-right order — so the result is
-  // bit-for-bit the naive loop's (tests/vector_math_test.cc pins this).
+  // The divisions 1/(theta[i]+mu) are independent element-wise operations
+  // (computed in chunks through a stack buffer), while the additions stay
+  // in the original left-to-right order — so the result is bit-for-bit the
+  // naive loop's (tests/vector_math_test.cc pins this).
   constexpr size_t kChunk = 128;
   double buffer[kChunk];
   const uint64_t end = start + beta;  // Inclusive.

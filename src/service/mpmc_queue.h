@@ -42,7 +42,11 @@ class MpmcQueue {
   bool Push(T item, size_t* depth_after = nullptr) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      // Readers take the same lock, so they see this count only while the
+      // wait has released it, i.e. while the producer is really blocked.
+      ++blocked_producers_;
       not_full_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
+      --blocked_producers_;
       if (closed_) {
         return false;
       }
@@ -67,8 +71,10 @@ class MpmcQueue {
     }
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      ++blocked_producers_;
       const bool ready = not_full_.wait_for(
           lock, deadline, [&] { return closed_ || items_.size() < capacity_; });
+      --blocked_producers_;
       if (closed_) {
         return PushOutcome::kClosed;
       }
@@ -148,6 +154,12 @@ class MpmcQueue {
     return items_.size();
   }
 
+  // Producers currently waiting in Push / PushWithDeadline for a free slot.
+  size_t blocked_producers() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return blocked_producers_;
+  }
+
   size_t capacity() const { return capacity_; }
 
  private:
@@ -156,6 +168,7 @@ class MpmcQueue {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;
+  size_t blocked_producers_ = 0;
   bool closed_ = false;
 };
 

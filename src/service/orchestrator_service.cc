@@ -171,6 +171,10 @@ ServiceStatsSnapshot OrchestratorService::stats() const {
   out.journal_deduped = stats_.journal_deduped.load(std::memory_order_relaxed);
   out.journal_torn_tails =
       stats_.journal_torn_tails.load(std::memory_order_relaxed);
+  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mutex_);
+  for (const auto& queue : queues_) {
+    out.producers_blocked += queue->blocked_producers();
+  }
   return out;
 }
 

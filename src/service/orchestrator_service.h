@@ -128,6 +128,8 @@ struct ServiceStatsSnapshot {
   uint64_t journal_replayed = 0;
   uint64_t journal_deduped = 0;
   uint64_t journal_torn_tails = 0;  // Recoveries that dropped a torn tail.
+  // Gauge: callers blocked on a full shard queue right now.
+  uint64_t producers_blocked = 0;
 };
 
 class OrchestratorService {

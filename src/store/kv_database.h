@@ -11,9 +11,8 @@
 #ifndef PRONGHORN_SRC_STORE_KV_DATABASE_H_
 #define PRONGHORN_SRC_STORE_KV_DATABASE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -21,7 +20,7 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/store/striping.h"
+#include "src/store/object_store.h"  // TransparentStringHash
 
 namespace pronghorn {
 
@@ -61,11 +60,10 @@ class KvDatabase {
   virtual KvAccounting accounting() const = 0;
 };
 
-// Thread-safe in-memory implementation (the reference Database). Keys are
-// lock-striped across kStoreStripes hash maps (see src/store/striping.h);
-// per-key atomicity — including versioned CompareAndSwap and Increment — is
-// provided by the key's stripe lock, and the operation counters are
-// serial-exact atomics. ListKeys still returns lexicographic order.
+// Thread-safe in-memory implementation (the reference Database). One mutex
+// guards the map and the operation counters, so per-key atomicity —
+// including versioned CompareAndSwap and Increment — comes from that lock.
+// ListKeys returns lexicographic order.
 class InMemoryKvDatabase : public KvDatabase {
  public:
   InMemoryKvDatabase() = default;
@@ -81,18 +79,11 @@ class InMemoryKvDatabase : public KvDatabase {
   KvAccounting accounting() const override;
 
  private:
-  struct alignas(kCacheLineBytes) Stripe {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, VersionedValue, TransparentStringHash,
-                       std::equal_to<>>
-        entries;
-  };
-
-  std::array<Stripe, kStoreStripes> stripes_;
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> cas_attempts_{0};
-  std::atomic<uint64_t> cas_conflicts_{0};
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string, VersionedValue, TransparentStringHash,
+                     std::equal_to<>>
+      entries_;
+  KvAccounting accounting_;
 };
 
 }  // namespace pronghorn

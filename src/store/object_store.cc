@@ -17,85 +17,63 @@ Status InMemoryObjectStore::Put(std::string_view key, ObjectBlob blob) {
   const uint64_t new_encoded = blob.bytes().size();
   uint64_t old_logical = 0;
   uint64_t old_encoded = 0;
-  {
-    Stripe& stripe = stripes_[StripeIndexForKey(key)];
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    auto it = stripe.objects.find(key);
-    if (it != stripe.objects.end()) {
-      old_logical = it->second.logical_size;
-      old_encoded = it->second.bytes().size();
-      it->second = std::move(blob);
-    } else {
-      stripe.objects.emplace(std::string(key), std::move(blob));
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = objects_.find(key);
+  if (it != objects_.end()) {
+    old_logical = it->second.logical_size;
+    old_encoded = it->second.bytes().size();
+    it->second = std::move(blob);
+  } else {
+    objects_.emplace(std::string(key), std::move(blob));
   }
-  AtomicStoreMax(accounting_.peak_logical_bytes,
-                 AtomicAddFetch(accounting_.logical_bytes_stored,
-                                new_logical - old_logical));
-  accounting_.network_bytes_uploaded.fetch_add(new_logical,
-                                               std::memory_order_relaxed);
-  accounting_.put_count.fetch_add(1, std::memory_order_relaxed);
-  AtomicStoreMax(accounting_.physical_peak_bytes,
-                 AtomicAddFetch(accounting_.physical_bytes_stored,
-                                new_encoded - old_encoded));
+  accounting_.logical_bytes_stored += new_logical - old_logical;
+  accounting_.peak_logical_bytes =
+      std::max(accounting_.peak_logical_bytes, accounting_.logical_bytes_stored);
+  accounting_.network_bytes_uploaded += new_logical;
+  accounting_.put_count += 1;
+  PhysicalAccounting& physical = accounting_.physical;
+  physical.bytes_stored += new_encoded - old_encoded;
+  physical.peak_bytes = std::max(physical.peak_bytes, physical.bytes_stored);
   return OkStatus();
 }
 
 Result<ObjectBlob> InMemoryObjectStore::Get(std::string_view key) {
-  ObjectBlob found;
-  {
-    Stripe& stripe = stripes_[StripeIndexForKey(key)];
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    auto it = stripe.objects.find(key);
-    if (it == stripe.objects.end()) {
-      return NotFoundError("no object with key '" + std::string(key) + "'");
-    }
-    found = it->second;  // Shares the stored buffer; no payload copy.
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = objects_.find(key);
+  if (it == objects_.end()) {
+    return NotFoundError("no object with key '" + std::string(key) + "'");
   }
-  accounting_.network_bytes_downloaded.fetch_add(found.logical_size,
-                                                 std::memory_order_relaxed);
-  accounting_.get_count.fetch_add(1, std::memory_order_relaxed);
-  accounting_.chunks_fetched.fetch_add(1, std::memory_order_relaxed);
-  accounting_.bytes_fetched.fetch_add(found.bytes().size(),
-                                      std::memory_order_relaxed);
-  return found;
+  const ObjectBlob& found = it->second;
+  accounting_.network_bytes_downloaded += found.logical_size;
+  accounting_.get_count += 1;
+  accounting_.physical.chunks_fetched += 1;
+  accounting_.physical.bytes_fetched += found.bytes().size();
+  return found;  // Shares the stored buffer; no payload copy.
 }
 
 Status InMemoryObjectStore::Delete(std::string_view key) {
-  uint64_t old_logical = 0;
-  uint64_t old_encoded = 0;
-  {
-    Stripe& stripe = stripes_[StripeIndexForKey(key)];
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    auto it = stripe.objects.find(key);
-    if (it == stripe.objects.end()) {
-      return NotFoundError("no object with key '" + std::string(key) + "'");
-    }
-    old_logical = it->second.logical_size;
-    old_encoded = it->second.bytes().size();
-    stripe.objects.erase(it);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = objects_.find(key);
+  if (it == objects_.end()) {
+    return NotFoundError("no object with key '" + std::string(key) + "'");
   }
-  accounting_.logical_bytes_stored.fetch_sub(old_logical,
-                                             std::memory_order_relaxed);
-  accounting_.delete_count.fetch_add(1, std::memory_order_relaxed);
-  accounting_.physical_bytes_stored.fetch_sub(old_encoded,
-                                              std::memory_order_relaxed);
+  accounting_.logical_bytes_stored -= it->second.logical_size;
+  accounting_.delete_count += 1;
+  accounting_.physical.bytes_stored -= it->second.bytes().size();
+  objects_.erase(it);
   return OkStatus();
 }
 
 bool InMemoryObjectStore::Contains(std::string_view key) const {
-  const Stripe& stripe = stripes_[StripeIndexForKey(key)];
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  return stripe.objects.find(key) != stripe.objects.end();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return objects_.find(key) != objects_.end();
 }
 
 std::vector<std::string> InMemoryObjectStore::ListKeys(std::string_view prefix) const {
-  // Gather per stripe, then sort once: the old std::map returned keys in
-  // lexicographic order and callers (recovery scans, tests) rely on it.
   std::vector<std::string> keys;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (const auto& [key, blob] : stripe.objects) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [key, blob] : objects_) {
       if (key.size() >= prefix.size() &&
           key.compare(0, prefix.size(), prefix) == 0) {
         keys.push_back(key);
@@ -108,28 +86,12 @@ std::vector<std::string> InMemoryObjectStore::ListKeys(std::string_view prefix) 
 
 StoreAccounting InMemoryObjectStore::accounting() const {
   StoreAccounting out;
-  out.logical_bytes_stored =
-      accounting_.logical_bytes_stored.load(std::memory_order_relaxed);
-  out.peak_logical_bytes =
-      accounting_.peak_logical_bytes.load(std::memory_order_relaxed);
-  out.network_bytes_uploaded =
-      accounting_.network_bytes_uploaded.load(std::memory_order_relaxed);
-  out.network_bytes_downloaded =
-      accounting_.network_bytes_downloaded.load(std::memory_order_relaxed);
-  out.put_count = accounting_.put_count.load(std::memory_order_relaxed);
-  out.get_count = accounting_.get_count.load(std::memory_order_relaxed);
-  out.delete_count = accounting_.delete_count.load(std::memory_order_relaxed);
-  // Flat store: the physical view is exactly the encoded payload held.
-  out.physical.bytes_stored =
-      accounting_.physical_bytes_stored.load(std::memory_order_relaxed);
-  out.physical.peak_bytes =
-      accounting_.physical_peak_bytes.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    out = accounting_;
+  }
   out.physical.flat_bytes_stored = out.physical.bytes_stored;
   out.physical.peak_flat_bytes = out.physical.peak_bytes;
-  out.physical.chunks_fetched =
-      accounting_.chunks_fetched.load(std::memory_order_relaxed);
-  out.physical.bytes_fetched =
-      accounting_.bytes_fetched.load(std::memory_order_relaxed);
   return out;
 }
 

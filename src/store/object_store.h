@@ -8,9 +8,8 @@
 #ifndef PRONGHORN_SRC_STORE_OBJECT_STORE_H_
 #define PRONGHORN_SRC_STORE_OBJECT_STORE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,9 +18,18 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/store/striping.h"
 
 namespace pronghorn {
+
+// Transparent hash so unordered_map<std::string, ...> lookups take a
+// string_view without materializing a temporary std::string (C++20
+// heterogeneous lookup; pair with std::equal_to<>).
+struct TransparentStringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 // A stored blob plus its modeled size. The payload is held behind a shared
 // immutable buffer so stores, retries, and readers pass multi-MB snapshot
@@ -89,13 +97,9 @@ struct StoreAccounting {
 };
 
 // The blob store behind FlatSnapshotStore: a thread-safe in-memory map from
-// key to ObjectBlob with byte accounting. Keys are lock-striped across
-// kStoreStripes independently-locked hash maps and accounting is kept in
-// serial-exact atomics (see src/store/striping.h), so concurrent operations
-// on different keys never contend on a mutex or a cache line. Observable
-// behavior is identical to the historical single-mutex std::map version:
-// ListKeys still returns lexicographic order, and any serial operation
-// sequence yields a bit-identical StoreAccounting.
+// key to ObjectBlob with byte accounting, all guarded by one mutex. Fleet
+// shards each own their store, so only service mode shares one across
+// threads. ListKeys returns lexicographic order.
 class InMemoryObjectStore {
  public:
   InMemoryObjectStore() = default;
@@ -111,31 +115,14 @@ class InMemoryObjectStore {
   StoreAccounting accounting() const;
 
  private:
-  struct alignas(kCacheLineBytes) Stripe {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, ObjectBlob, TransparentStringHash,
-                       std::equal_to<>>
-        objects;
-  };
-
-  // Serial-exact atomic mirror of StoreAccounting (flat store: the physical
-  // view coincides with the encoded payload, so flat == physical here).
-  struct AtomicAccounting {
-    std::atomic<uint64_t> logical_bytes_stored{0};
-    std::atomic<uint64_t> peak_logical_bytes{0};
-    std::atomic<uint64_t> network_bytes_uploaded{0};
-    std::atomic<uint64_t> network_bytes_downloaded{0};
-    std::atomic<uint64_t> put_count{0};
-    std::atomic<uint64_t> get_count{0};
-    std::atomic<uint64_t> delete_count{0};
-    std::atomic<uint64_t> physical_bytes_stored{0};
-    std::atomic<uint64_t> physical_peak_bytes{0};
-    std::atomic<uint64_t> chunks_fetched{0};
-    std::atomic<uint64_t> bytes_fetched{0};
-  };
-
-  std::array<Stripe, kStoreStripes> stripes_;
-  AtomicAccounting accounting_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string, ObjectBlob, TransparentStringHash,
+                     std::equal_to<>>
+      objects_;
+  // Flat store: the physical view is the encoded payload held, so only
+  // its bytes, peak and fetch counters are maintained; accounting() mirrors
+  // them into the flat fields.
+  StoreAccounting accounting_;
 };
 
 }  // namespace pronghorn

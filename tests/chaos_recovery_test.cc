@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,89 @@ TEST(ChaosRecoveryTest, PersistentlyCorruptSnapshotsAreQuarantined) {
   EXPECT_EQ(state->pool.size(), 0u);                 // Evicted from the pool.
   EXPECT_TRUE(state->restore_failures.empty());      // Ledger entries cleared.
   EXPECT_TRUE(h.object_store.ListKeys("snapshots/").empty());  // Blobs deleted.
+}
+
+// A pool larger than kMaxRestoreCandidates: the restore walk tries only the
+// top-ranked candidates, then cold-starts even though lower-ranked
+// snapshots remain in the pool.
+constexpr size_t kWidePool = 5;
+constexpr size_t kWalkCap = 3;  // kMaxRestoreCandidates, pinned by value.
+
+PolicyConfig WidePoolConfig() {
+  PolicyConfig config = TestConfig();
+  config.pool_capacity = 6;
+  return config;
+}
+
+TEST(ChaosRecoveryTest, RestoreWalkStopsAtCandidateCap) {
+  const auto policy = RequestCentricPolicy::Create(WidePoolConfig());
+  ASSERT_TRUE(policy.ok());
+  ChaosHarness h(*policy);
+  h.RunLifetimes(kWidePool);
+  const std::vector<PoolEntry> entries = h.PoolEntries();
+  ASSERT_EQ(entries.size(), kWidePool);
+  for (const PoolEntry& entry : entries) {
+    h.CorruptBlob(entry.object_key);
+  }
+
+  auto session = h.orchestrator.StartWorker();
+  ASSERT_TRUE(session.ok());
+  EXPECT_FALSE(session->restored);
+  EXPECT_EQ(h.orchestrator.recovery_stats().restore_attempt_failures,
+            kWalkCap);
+  auto state = h.state_store.Load();
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state->restore_failures.size(), kWalkCap);
+  EXPECT_EQ(state->pool.size(), kWidePool);  // One strike each: no quarantine.
+}
+
+TEST(ChaosRecoveryTest, SnapshotRankedPastCandidateCapIsNeverTried) {
+  const auto policy = RequestCentricPolicy::Create(WidePoolConfig());
+  ASSERT_TRUE(policy.ok());
+
+  // Every harness is built from the same seeds, so all see the same pool and
+  // ranking. A first run with every blob corrupt reveals the top-ranked
+  // candidates through the strikes their failed attempts leave.
+  std::vector<PoolEntry> entries;
+  std::map<uint64_t, uint32_t> tried;
+  {
+    ChaosHarness h(*policy);
+    h.RunLifetimes(kWidePool);
+    entries = h.PoolEntries();
+    ASSERT_EQ(entries.size(), kWidePool);
+    for (const PoolEntry& entry : entries) {
+      h.CorruptBlob(entry.object_key);
+    }
+    ASSERT_TRUE(h.orchestrator.StartWorker().ok());
+    auto state = h.state_store.Load();
+    ASSERT_TRUE(state.ok());
+    tried = state->restore_failures;
+    ASSERT_EQ(tried.size(), kWalkCap);
+  }
+
+  // Leave exactly one snapshot ranked past the cap (4th or 5th) healthy:
+  // the walk must still fail over to a cold start.
+  size_t runs = 0;
+  for (size_t keep = 0; keep < entries.size(); ++keep) {
+    if (tried.count(entries[keep].metadata.id.value) > 0) {
+      continue;
+    }
+    ChaosHarness h(*policy);
+    h.RunLifetimes(kWidePool);
+    ASSERT_EQ(h.PoolEntries().size(), kWidePool);
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (i != keep) {
+        h.CorruptBlob(entries[i].object_key);
+      }
+    }
+    auto session = h.orchestrator.StartWorker();
+    ASSERT_TRUE(session.ok());
+    EXPECT_FALSE(session->restored) << "snapshot past the cap was tried";
+    EXPECT_EQ(h.orchestrator.recovery_stats().restore_attempt_failures,
+              kWalkCap);
+    ++runs;
+  }
+  EXPECT_EQ(runs, kWidePool - kWalkCap);
 }
 
 // A successful restore clears any strikes the snapshot accumulated from

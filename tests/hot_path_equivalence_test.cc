@@ -228,9 +228,12 @@ TEST(CandidateOrderingTest, SwapToFrontMatchesLegacyComparatorAndRngDraws) {
     if (got.restore_from && want.restore_from) {
       EXPECT_EQ(got.restore_from->value, want.restore_from->value);
     }
-    ASSERT_EQ(got.restore_candidates.size(), want.restore_candidates.size());
-    for (size_t i = 0; i < got.restore_candidates.size(); ++i) {
-      EXPECT_EQ(got.restore_candidates[i].value, want.restore_candidates[i].value)
+    // The decision carries the first min(n, kMaxRestoreCandidates) entries
+    // of the reference's full ranking.
+    ASSERT_EQ(got.candidates().size(),
+              std::min(want.restore_candidates.size(), kMaxRestoreCandidates));
+    for (size_t i = 0; i < got.candidates().size(); ++i) {
+      EXPECT_EQ(got.candidates()[i].value, want.restore_candidates[i].value)
           << "round " << round << " rank " << i;
     }
     EXPECT_EQ(got.checkpoint_at_request, want.checkpoint_at_request);

@@ -150,11 +150,11 @@ TEST(KvDatabaseTest, ValuesAreIndependentCopies) {
   EXPECT_EQ(AsString(*db.Get("k")), "abc");
 }
 
-// --- Striped-lock concurrency stress --------------------------------------
+// --- Concurrency stress ----------------------------------------------------
 //
-// InMemoryKvDatabase stripes its map; CAS and Increment must stay atomic per
-// key (the stripe lock covers read-modify-write), and the op counters must
-// not lose updates. Run under TSan in CI.
+// CAS and Increment must stay atomic per key (the store's lock covers the
+// read-modify-write), and the op counters must not lose updates. Run under
+// TSan in CI.
 
 TEST(KvDatabaseStressTest, ConcurrentIncrementsAreExact) {
   InMemoryKvDatabase db;

@@ -65,6 +65,26 @@ TEST(MpmcQueueTest, FullQueueBlocksPushUntilPop) {
   EXPECT_EQ(out, 3);
 }
 
+TEST(MpmcQueueTest, BlockedProducersCountsOnlyParkedPushes) {
+  MpmcQueue<int> queue(1);
+  ASSERT_TRUE(queue.Push(1));  // Room: never counted as blocked.
+  EXPECT_EQ(queue.blocked_producers(), 0u);
+
+  std::thread producer([&] { ASSERT_TRUE(queue.Push(2)); });
+  while (queue.blocked_producers() == 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(queue.blocked_producers(), 1u);
+  EXPECT_EQ(queue.depth(), 1u);
+
+  int out = 0;
+  ASSERT_TRUE(queue.Pop(out));
+  producer.join();
+  EXPECT_EQ(queue.blocked_producers(), 0u);
+  ASSERT_TRUE(queue.Pop(out));
+  EXPECT_EQ(out, 2);
+}
+
 TEST(MpmcQueueTest, CloseDrainsAcceptedItemsThenFails) {
   MpmcQueue<int> queue(4);
   ASSERT_TRUE(queue.Push(10));

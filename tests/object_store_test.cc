@@ -103,13 +103,12 @@ TEST_F(ObjectStoreConformance, BinaryPayloadSafe) {
   EXPECT_EQ(got->bytes(), raw);
 }
 
-// --- Striped-lock concurrency stress --------------------------------------
+// --- Concurrency stress ----------------------------------------------------
 //
-// InMemoryObjectStore shards its map across kStoreStripes cache-line-aligned
-// stripes with serial-exact atomic accounting. These tests drive it from many
-// threads (run under TSan in CI) and then verify the invariants that survive
-// any interleaving: no lost keys, internally consistent accounting, and
-// ListKeys still globally sorted.
+// InMemoryObjectStore guards its map and accounting with one mutex. These
+// tests drive it from many threads (run under TSan in CI) and then verify the
+// invariants that survive any interleaving: no lost keys, internally
+// consistent accounting, and ListKeys globally sorted.
 
 TEST(InMemoryObjectStoreStressTest, ConcurrentDisjointWritersLoseNothing) {
   InMemoryObjectStore store;
@@ -181,9 +180,9 @@ TEST(InMemoryObjectStoreStressTest, ContendedSameKeyChurnStaysConsistent) {
   EXPECT_LE(keys.size(), 5u);
 }
 
-TEST(InMemoryObjectStoreStressTest, SerialAccountingMatchesPreStripingSemantics) {
-  // Serial-exactness contract: a single-threaded op sequence produces the
-  // exact accounting the old single-mutex implementation produced.
+TEST(InMemoryObjectStoreStressTest, SerialAccountingIsExact) {
+  // Serial-exactness contract: a single-threaded op sequence produces
+  // exactly these byte and operation totals.
   InMemoryObjectStore store;
   ASSERT_TRUE(store.Put("a", Blob("one", 1000)).ok());
   ASSERT_TRUE(store.Put("b", Blob("two", 500)).ok());

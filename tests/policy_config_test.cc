@@ -81,7 +81,9 @@ INSTANTIATE_TEST_SUITE_P(
                       c.max_checkpoint_request = static_cast<uint32_t>(
                           PolicyConfig::kMaxWeightVectorLength - c.beta);
                     }}),
-    [](const ::testing::TestParamInfo<InvalidCase>& info) { return info.param.name; });
+    [](const ::testing::TestParamInfo<InvalidCase>& param_info) {
+      return param_info.param.name;
+    });
 
 TEST(PolicyConfigTest, BoundaryValuesAccepted) {
   PolicyConfig config = PythonConfig();

@@ -533,10 +533,11 @@ TEST(ServiceCrashTest, ShedsStartDecisionsPastDeadline) {
     ServiceClient client(&service, stack.name, 0, /*defer_commit=*/false);
     (void)client.QueryPlan();
   });
-  // No counter observes a push landing (requests counts on the shard side),
-  // so give the fillers a generous slice of the 2s window to saturate the
-  // queue before probing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // A producer blocks only on a full queue, so one filler blocked in Push
+  // means the other holds the single slot: the queue is saturated.
+  while (service.stats().producers_blocked == 0) {
+    std::this_thread::yield();
+  }
 
   // Without a fallback the shed surfaces as kResourceExhausted.
   ServiceClient plain(&service, stack.name, 0, /*defer_commit=*/false);

@@ -3,8 +3,10 @@
 // Emits an invocation trace CSV consumable by the replay pipeline
 // (examples/trace_replay, SimEnvironment::RunArrivals).
 //
-//   pronghorn_trace --functions MST:85,Thumbnailer:75,HTMLRendering:65 \
+//   pronghorn_trace --functions MST:85,Thumbnailer:75,HTMLRendering:65
 //                   --window-s 900 --windows 4 --seed 7 --out trace.csv
+//
+// (one command line, wrapped here).
 
 #include <cstdio>
 #include <string>
