@@ -49,15 +49,7 @@ Result<CheckpointOutcome> CriuLikeEngine::Checkpoint(const RuntimeProcess& proce
 
 Result<RestoreOutcome> CriuLikeEngine::Restore(const SnapshotImage& image,
                                                const WorkloadRegistry& registry) {
-  ByteReader reader(image.payload());
-  PRONGHORN_ASSIGN_OR_RETURN(RuntimeProcess process,
-                             RuntimeProcess::Deserialize(reader, registry));
-  if (!reader.AtEnd()) {
-    return DataLossError("trailing bytes in snapshot payload");
-  }
-  if (process.requests_executed() != image.metadata().request_number) {
-    return DataLossError("snapshot metadata request number disagrees with state");
-  }
+  PRONGHORN_ASSIGN_OR_RETURN(RuntimeProcess process, image.DecodeProcess(registry));
   // Restored workers run in a fresh environment; JIT behavior from here on is
   // not a replay of the checkpointed worker's future.
   process.ReseedForRestore(rng_.NextUint64());

@@ -55,15 +55,7 @@ Result<CheckpointOutcome> DeltaCheckpointEngine::Checkpoint(
 
 Result<RestoreOutcome> DeltaCheckpointEngine::Restore(const SnapshotImage& image,
                                                       const WorkloadRegistry& registry) {
-  ByteReader reader(image.payload());
-  PRONGHORN_ASSIGN_OR_RETURN(RuntimeProcess process,
-                             RuntimeProcess::Deserialize(reader, registry));
-  if (!reader.AtEnd()) {
-    return DataLossError("trailing bytes in snapshot payload");
-  }
-  if (process.requests_executed() != image.metadata().request_number) {
-    return DataLossError("snapshot metadata request number disagrees with state");
-  }
+  PRONGHORN_ASSIGN_OR_RETURN(RuntimeProcess process, image.DecodeProcess(registry));
   process.ReseedForRestore(rng_.NextUint64());
 
   const WorkloadProfile& profile = process.profile();

@@ -1,6 +1,7 @@
 #include "src/checkpoint/snapshot.h"
 
 #include "src/common/crc32.h"
+#include "src/jit/runtime_process.h"
 
 namespace pronghorn {
 
@@ -64,6 +65,24 @@ Result<SnapshotImage> SnapshotImage::Decode(std::span<const uint8_t> bytes) {
     return DataLossError("trailing bytes after snapshot payload");
   }
   return SnapshotImage(std::move(metadata), std::move(payload));
+}
+
+Result<RuntimeProcess> SnapshotImage::DecodeProcess(
+    const WorkloadRegistry& registry) const {
+  if (decoded_process_ == nullptr || decoded_registry_ != &registry) {
+    ByteReader reader(payload_);
+    PRONGHORN_ASSIGN_OR_RETURN(RuntimeProcess process,
+                               RuntimeProcess::Deserialize(reader, registry));
+    if (!reader.AtEnd()) {
+      return DataLossError("trailing bytes in snapshot payload");
+    }
+    if (process.requests_executed() != metadata_.request_number) {
+      return DataLossError("snapshot metadata request number disagrees with state");
+    }
+    decoded_process_ = std::make_shared<const RuntimeProcess>(std::move(process));
+    decoded_registry_ = &registry;
+  }
+  return *decoded_process_;
 }
 
 std::string SnapshotImage::ObjectKey() const {

@@ -11,6 +11,7 @@
 #define PRONGHORN_SRC_CHECKPOINT_SNAPSHOT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,9 @@
 #include "src/common/result.h"
 
 namespace pronghorn {
+
+class RuntimeProcess;
+class WorkloadRegistry;
 
 // Globally unique snapshot identifier (allocated from the Database sequence).
 struct SnapshotId {
@@ -60,9 +64,23 @@ class SnapshotImage {
   // Canonical object-store key for this snapshot.
   std::string ObjectKey() const;
 
+  // The process the payload serializes, exactly as it was checkpointed
+  // (before any restore reseeding), with its profile rebound through
+  // `registry`. Fails with kDataLoss when the payload does not parse, has
+  // trailing bytes, or disagrees with the metadata's request number. The
+  // first success per registry is remembered, so restoring one image again
+  // copies the decoded process instead of parsing the payload; a failure is
+  // never remembered. `registry` must outlive the image. Not safe to call
+  // concurrently on one image.
+  Result<RuntimeProcess> DecodeProcess(const WorkloadRegistry& registry) const;
+
  private:
   SnapshotMetadata metadata_;
   std::vector<uint8_t> payload_;
+  // DecodeProcess memo. Metadata and payload never change after
+  // construction, so the decoded process stays valid for the image's life.
+  mutable std::shared_ptr<const RuntimeProcess> decoded_process_;
+  mutable const WorkloadRegistry* decoded_registry_ = nullptr;
 };
 
 }  // namespace pronghorn

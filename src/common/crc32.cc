@@ -1,34 +1,62 @@
 #include "src/common/crc32.h"
 
 #include <array>
+#include <cstddef>
 
 namespace pronghorn {
 
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: tables[0] is the classic byte-at-a-time table for
+// the reflected IEEE polynomial, and tables[k][i] is the CRC state after
+// byte i is followed by k zero bytes. Eight lookups then fold eight input
+// bytes per step into the same CRC the byte loop computes.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Crc32Tables BuildTables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t value = i;
     for (int bit = 0; bit < 8; ++bit) {
       value = (value & 1) ? (0xedb88320u ^ (value >> 1)) : (value >> 1);
     }
-    table[i] = value;
+    tables[0][i] = value;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xff] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> table = BuildTable();
-  return table;
+const Crc32Tables& Tables() {
+  static const Crc32Tables tables = BuildTables();
+  return tables;
+}
+
+// Little-endian load regardless of host byte order.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data) {
-  const auto& table = Table();
-  for (uint8_t byte : data) {
-    state = table[(state ^ byte) & 0xff] ^ (state >> 8);
+  const Crc32Tables& t = Tables();
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = state ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    state = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+            t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+            t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = t[0][(state ^ *p) & 0xff] ^ (state >> 8);
   }
   return state;
 }

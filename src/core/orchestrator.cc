@@ -199,9 +199,9 @@ Result<WorkerSession> Orchestrator::StartWorker() {
         // or a chunk missing from the index) before an image ever decoded.
         // Flat stores never return kDataLoss here — their corruption is only
         // caught by the image CRC below — so flat trajectories are unchanged.
-        PRONGHORN_LOG_WARNING("snapshot %llu store-level data loss: %s",
-                              static_cast<unsigned long long>(id.value),
-                              blob.status().ToString().c_str());
+        PRONGHORN_LOG_DEBUG("snapshot %llu store-level data loss: %s",
+                            static_cast<unsigned long long>(id.value),
+                            blob.status().ToString().c_str());
         recovery_.restore_attempt_failures += 1;
         RecordRestoreFailure(id, key);
       } else {
@@ -209,20 +209,32 @@ Result<WorkerSession> Orchestrator::StartWorker() {
       }
       continue;
     }
-    auto image = SnapshotImage::Decode(blob->bytes());
-    if (!image.ok()) {
-      PRONGHORN_LOG_WARNING("snapshot %llu image corrupt: %s",
+    // Bytes identical to ones that already decoded and restored reuse that
+    // verdict; anything else, including a changed re-put under the same key,
+    // pays the full CRC check and parse.
+    auto memo = verified_images_.find(id.value);
+    if (memo == verified_images_.end() ||
+        (memo->second.bytes != blob->data && *memo->second.bytes != blob->bytes())) {
+      auto image = SnapshotImage::Decode(blob->bytes());
+      if (!image.ok()) {
+        PRONGHORN_LOG_DEBUG("snapshot %llu image corrupt: %s",
                             static_cast<unsigned long long>(id.value),
                             image.status().ToString().c_str());
-      recovery_.restore_attempt_failures += 1;
-      RecordRestoreFailure(id, key);
-      continue;
+        verified_images_.erase(id.value);
+        recovery_.restore_attempt_failures += 1;
+        RecordRestoreFailure(id, key);
+        continue;
+      }
+      memo = verified_images_
+                 .insert_or_assign(id.value, VerifiedImage{blob->data, *std::move(image)})
+                 .first;
     }
-    auto restored = engine_.Restore(*image, registry_);
+    auto restored = engine_.Restore(memo->second.image, registry_);
     if (!restored.ok()) {
-      PRONGHORN_LOG_WARNING("restore of snapshot %llu failed: %s",
-                            static_cast<unsigned long long>(id.value),
-                            restored.status().ToString().c_str());
+      PRONGHORN_LOG_DEBUG("restore of snapshot %llu failed: %s",
+                          static_cast<unsigned long long>(id.value),
+                          restored.status().ToString().c_str());
+      verified_images_.erase(memo);  // Only images that restored stay.
       recovery_.restore_attempt_failures += 1;
       RecordRestoreFailure(id, key);
       continue;
@@ -246,6 +258,11 @@ Result<WorkerSession> Orchestrator::StartWorker() {
     }
     session.emplace(std::move(s));
   }
+  // The memo never outlives a snapshot's pool membership: quarantine, prune
+  // and eviction all clear it through the pool.
+  std::erase_if(verified_images_, [&](const auto& verified) {
+    return !state.pool.Contains(SnapshotId{verified.first});
+  });
   if (!session.has_value()) {
     session.emplace(RuntimeProcess::ColdStart(profile_, rng_.NextUint64()),
                     next_worker_id_++);

@@ -20,9 +20,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/checkpoint/engine.h"
 #include "src/common/clock.h"
@@ -238,6 +241,14 @@ class Orchestrator {
   }
 
  private:
+  // A snapshot's stored bytes that passed SnapshotImage::Decode and then
+  // restored, plus that decoded image (which also remembers its decoded
+  // process, see SnapshotImage::DecodeProcess).
+  struct VerifiedImage {
+    std::shared_ptr<const std::vector<uint8_t>> bytes;
+    SnapshotImage image;
+  };
+
   struct PendingObservation {
     uint64_t request_number = 0;
     Duration latency;
@@ -281,6 +292,12 @@ class Orchestrator {
   OrchestratorOverheads overheads_;
   RecoveryStats recovery_;
   std::deque<PendingObservation> pending_observations_;
+  // Verified-snapshot memo, keyed by snapshot id. A fetched buffer that is
+  // the memo's own object or byte-equal to it reuses the decoded image, so
+  // the CRC and the parse run once per distinct byte sequence. An entry
+  // survives only if its full decode and restore both succeeded, and the
+  // memo is trimmed to the loaded pool after every restore walk.
+  std::map<uint64_t, VerifiedImage> verified_images_;
   uint32_t commit_scope_ = 0;
   uint64_t observations_deduped_ = 0;
   uint64_t next_worker_id_ = 1;

@@ -266,6 +266,62 @@ TEST(ChaosRecoveryTest, SuccessfulRestoreClearsLedgerStrikes) {
   EXPECT_EQ(h.orchestrator.recovery_stats().snapshots_quarantined, 0u);
 }
 
+// The orchestrator remembers images that already passed the CRC and
+// restored. Bytes re-put under the same key after a good restore must not
+// inherit that verdict: every one of them pays the full check, strikes the
+// ledger and is finally quarantined, after which a new snapshot restores.
+TEST(ChaosRecoveryTest, CorruptRePutAfterGoodRestoreIsStillDetected) {
+  const auto policy = RequestCentricPolicy::Create(TestConfig());
+  ASSERT_TRUE(policy.ok());
+  ChaosHarness h(*policy);
+  h.RunLifetimes(1);
+  const std::vector<PoolEntry> entries = h.PoolEntries();
+  ASSERT_EQ(entries.size(), 1u);
+  const SnapshotId id = entries[0].metadata.id;
+  const std::string& key = entries[0].object_key;
+
+  auto healthy = h.orchestrator.StartWorker();
+  ASSERT_TRUE(healthy.ok());
+  ASSERT_TRUE(healthy->restored);
+  ASSERT_EQ(healthy->restored_from.value, id.value);
+
+  auto stored = h.object_store.Get(key);
+  ASSERT_TRUE(stored.ok());
+  std::vector<uint8_t> bytes = stored->bytes();
+  bytes[bytes.size() / 2] ^= 0x01;
+  ASSERT_TRUE(
+      h.snapshot_store.PutSnapshot(key, ObjectBlob(std::move(bytes), stored->logical_size))
+          .ok());
+
+  auto damaged = h.orchestrator.StartWorker();
+  ASSERT_TRUE(damaged.ok());
+  EXPECT_FALSE(damaged->restored);
+  EXPECT_EQ(h.orchestrator.recovery_stats().restore_attempt_failures, 1u);
+  auto state = h.state_store.Load();
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state->restore_failures[id.value], 1u);
+
+  // Two more strikes reach the default threshold of three.
+  for (int start = 0; start < 2; ++start) {
+    auto session = h.orchestrator.StartWorker();
+    ASSERT_TRUE(session.ok());
+    EXPECT_FALSE(session->restored);
+  }
+  EXPECT_EQ(h.orchestrator.recovery_stats().restore_attempt_failures, 3u);
+  EXPECT_EQ(h.orchestrator.recovery_stats().snapshots_quarantined, 1u);
+  EXPECT_TRUE(h.PoolEntries().empty());
+
+  h.RunLifetimes(1);
+  const std::vector<PoolEntry> fresh = h.PoolEntries();
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_NE(fresh[0].metadata.id.value, id.value);
+  auto restored = h.orchestrator.StartWorker();
+  ASSERT_TRUE(restored.ok());
+  EXPECT_TRUE(restored->restored);
+  EXPECT_EQ(restored->restored_from.value, fresh[0].metadata.id.value);
+  EXPECT_EQ(h.orchestrator.recovery_stats().restore_attempt_failures, 3u);
+}
+
 // A pool entry whose object vanished (concurrent eviction) is pruned rather
 // than repeatedly retried, and the worker cold-starts cleanly.
 TEST(ChaosRecoveryTest, MissingObjectPrunesStaleEntryAndColdStarts) {

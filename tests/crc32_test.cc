@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -10,6 +12,27 @@ namespace {
 
 std::vector<uint8_t> Bytes(std::string_view text) {
   return std::vector<uint8_t>(text.begin(), text.end());
+}
+
+// Bit-at-a-time IEEE CRC-32 (reflected polynomial 0xedb88320): the
+// definition the table-driven kernel must reproduce on every input.
+uint32_t BitwiseCrc32(std::span<const uint8_t> data) {
+  uint32_t state = 0xffffffffu;
+  for (const uint8_t byte : data) {
+    state ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1u) != 0 ? (state >> 1) ^ 0xedb88320u : state >> 1;
+    }
+  }
+  return state ^ 0xffffffffu;
+}
+
+std::vector<uint8_t> Pattern(size_t size) {
+  std::vector<uint8_t> bytes(size);
+  for (size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<uint8_t>((i * 167) ^ (i >> 3) ^ 0x5a);
+  }
+  return bytes;
 }
 
 TEST(Crc32Test, KnownVectors) {
@@ -27,6 +50,31 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   state = Crc32Update(state,
                       std::span<const uint8_t>(data.data() + 5, data.size() - 5));
   EXPECT_EQ(Crc32Finalize(state), Crc32(data));
+}
+
+// The kernel folds eight bytes per step; every length and start alignment
+// exercises each head/body/tail split of that loop.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> data = Pattern(1100 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1100; ++length) {
+      const std::span<const uint8_t> slice(data.data() + offset, length);
+      ASSERT_EQ(Crc32(slice), BitwiseCrc32(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalMatchesReferenceAtEverySplit) {
+  const std::vector<uint8_t> data = Pattern(64);
+  const uint32_t expected = BitwiseCrc32(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    uint32_t state = kCrc32Init;
+    state = Crc32Update(state, std::span<const uint8_t>(data.data(), split));
+    state = Crc32Update(
+        state, std::span<const uint8_t>(data.data() + split, data.size() - split));
+    EXPECT_EQ(Crc32Finalize(state), expected) << "split at " << split;
+  }
 }
 
 TEST(Crc32Test, SingleBitFlipChangesChecksum) {

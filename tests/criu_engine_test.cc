@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/stats.h"
 
 namespace pronghorn {
@@ -93,8 +95,37 @@ TEST(CriuLikeEngineTest, RestoreDetectsCorruptPayload) {
   SnapshotMetadata forged = checkpoint->image.metadata();
   forged.request_number = 999;
   SnapshotImage forged_image(forged, checkpoint->image.payload());
-  auto restored = engine.Restore(forged_image, WorkloadRegistry::Default());
-  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+  // A failed decode is never remembered: every call re-checks and fails.
+  for (int call = 0; call < 3; ++call) {
+    auto restored = engine.Restore(forged_image, WorkloadRegistry::Default());
+    EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss) << "call " << call;
+  }
+}
+
+// The engine remembers the process it decoded from an image. Restoring one
+// image object twice must be indistinguishable from restoring two freshly
+// decoded copies: same state after reseeding, same drawn restore time.
+TEST(CriuLikeEngineTest, RepeatRestoresOfOneImageMatchFreshDecodes) {
+  CriuLikeEngine source(9);
+  RuntimeProcess process = WarmProcess("BFS", 60, 18);
+  auto checkpoint = source.Checkpoint(process, SnapshotId{41}, TimePoint());
+  ASSERT_TRUE(checkpoint.ok());
+  const std::vector<uint8_t> wire = checkpoint->image.Encode();
+  auto shared = SnapshotImage::Decode(wire);
+  ASSERT_TRUE(shared.ok());
+
+  CriuLikeEngine reusing(10);
+  CriuLikeEngine decoding(10);
+  for (int restore = 0; restore < 2; ++restore) {
+    auto copy = SnapshotImage::Decode(wire);
+    ASSERT_TRUE(copy.ok());
+    auto a = reusing.Restore(*shared, WorkloadRegistry::Default());
+    auto b = decoding.Restore(*copy, WorkloadRegistry::Default());
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_TRUE(a->process.StateEquals(b->process)) << "restore " << restore;
+    EXPECT_EQ(a->restore_time, b->restore_time) << "restore " << restore;
+  }
 }
 
 TEST(CriuLikeEngineTest, RestoredProcessesDivergeFromEachOther) {

@@ -161,8 +161,37 @@ TEST(DeltaCheckpointEngineTest, RejectsReservedIdAndCorruptMetadata) {
   SnapshotMetadata forged = checkpoint->image.metadata();
   forged.request_number = 12345;
   SnapshotImage forged_image(forged, checkpoint->image.payload());
-  EXPECT_EQ(engine.Restore(forged_image, WorkloadRegistry::Default()).status().code(),
-            StatusCode::kDataLoss);
+  // A failed decode is never remembered: every call re-checks and fails.
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(engine.Restore(forged_image, WorkloadRegistry::Default()).status().code(),
+              StatusCode::kDataLoss)
+        << "call " << call;
+  }
+}
+
+// Restoring one image object twice equals restoring two freshly decoded
+// copies with a same-seeded engine: the remembered decode changes nothing.
+TEST(DeltaCheckpointEngineTest, RepeatRestoresOfOneImageMatchFreshDecodes) {
+  DeltaCheckpointEngine source(10);
+  RuntimeProcess process = WarmProcess("PageRank", 90, 9);
+  auto checkpoint = source.Checkpoint(process, SnapshotId{3}, TimePoint());
+  ASSERT_TRUE(checkpoint.ok());
+  const std::vector<uint8_t> wire = checkpoint->image.Encode();
+  auto shared = SnapshotImage::Decode(wire);
+  ASSERT_TRUE(shared.ok());
+
+  DeltaCheckpointEngine reusing(11);
+  DeltaCheckpointEngine decoding(11);
+  for (int restore = 0; restore < 2; ++restore) {
+    auto copy = SnapshotImage::Decode(wire);
+    ASSERT_TRUE(copy.ok());
+    auto a = reusing.Restore(*shared, WorkloadRegistry::Default());
+    auto b = decoding.Restore(*copy, WorkloadRegistry::Default());
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_TRUE(a->process.StateEquals(b->process)) << "restore " << restore;
+    EXPECT_EQ(a->restore_time, b->restore_time) << "restore " << restore;
+  }
 }
 
 }  // namespace
