@@ -1,5 +1,6 @@
 #include "src/common/bytes.h"
 
+#include <bit>
 #include <cstring>
 
 namespace pronghorn {
@@ -7,9 +8,9 @@ namespace pronghorn {
 void ByteWriter::WriteUint8(uint8_t value) { data_.push_back(value); }
 
 void ByteWriter::WriteUint32(uint32_t value) {
-  // One resize + unrolled byte stores instead of per-byte push_back: the
-  // fixed-width writers dominate the policy-state and snapshot encode paths,
-  // and the explicit shifts keep the wire format endian-independent.
+  // One resize, then byte stores through explicit shifts, so the wire format
+  // is little-endian whatever the host's byte order. Runs of doubles go
+  // through WriteDoubles, which grows the buffer once for the whole run.
   const size_t offset = data_.size();
   data_.resize(offset + 4);
   for (size_t i = 0; i < 4; ++i) {
@@ -36,6 +37,25 @@ void ByteWriter::WriteDouble(double value) {
   WriteUint64(bits);
 }
 
+void ByteWriter::WriteDoubles(std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory bit patterns already are the wire format: append them
+    // in one copy.
+    const auto* bytes = reinterpret_cast<const uint8_t*>(values.data());
+    data_.insert(data_.end(), bytes, bytes + values.size_bytes());
+  } else {
+    const size_t offset = data_.size();
+    data_.resize(offset + 8 * values.size());
+    uint8_t* out = data_.data() + offset;
+    for (const double value : values) {
+      const auto bits = std::bit_cast<uint64_t>(value);
+      for (size_t i = 0; i < 8; ++i) {
+        *out++ = static_cast<uint8_t>(bits >> (8 * i));
+      }
+    }
+  }
+}
+
 void ByteWriter::WriteVarint(uint64_t value) {
   while (value >= 0x80) {
     data_.push_back(static_cast<uint8_t>((value & 0x7f) | 0x80));
@@ -46,12 +66,16 @@ void ByteWriter::WriteVarint(uint64_t value) {
 
 void ByteWriter::WriteBytes(std::span<const uint8_t> bytes) {
   WriteVarint(bytes.size());
-  data_.insert(data_.end(), bytes.begin(), bytes.end());
+  WriteRaw(bytes);
 }
 
 void ByteWriter::WriteString(std::string_view text) {
   WriteVarint(text.size());
   data_.insert(data_.end(), text.begin(), text.end());
+}
+
+void ByteWriter::WriteRaw(std::span<const uint8_t> bytes) {
+  data_.insert(data_.end(), bytes.begin(), bytes.end());
 }
 
 Status ByteReader::Require(size_t count) const {

@@ -31,11 +31,17 @@ class ByteWriter {
   void WriteInt64(int64_t value);
   // IEEE-754 bit pattern, little-endian.
   void WriteDouble(double value);
+  // The same encoding for a run of doubles, with one buffer growth for the
+  // whole run (the policy-state theta vector).
+  void WriteDoubles(std::span<const double> values);
   // LEB128-style unsigned varint.
   void WriteVarint(uint64_t value);
   // Varint length prefix followed by raw bytes.
   void WriteBytes(std::span<const uint8_t> bytes);
   void WriteString(std::string_view text);
+  // Raw bytes with no length prefix: splices a segment encoded earlier by
+  // another writer.
+  void WriteRaw(std::span<const uint8_t> bytes);
 
   const std::vector<uint8_t>& data() const { return data_; }
   std::vector<uint8_t> TakeData() { return std::move(data_); }

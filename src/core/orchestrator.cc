@@ -157,9 +157,11 @@ Result<WorkerSession> Orchestrator::StartWorker() {
         obs_->Instant(obs_track_, "decision:degraded_start", "orchestrator",
                       clock_.now());
       }
-      PRONGHORN_LOG_WARNING("database unavailable at worker launch for '%s'; "
-                            "degraded cold start",
-                            state_store_.function().c_str());
+      // Counted in RecoveryStats::degraded_starts; a warning per start
+      // floods stderr under a long outage.
+      PRONGHORN_LOG_DEBUG("database unavailable at worker launch for '%s'; "
+                          "degraded cold start",
+                          state_store_.function().c_str());
       return session;
     }
     return loaded.status();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/bytes.h"
 #include "src/common/logging.h"
@@ -27,12 +28,19 @@ uint64_t StableNameHash(std::string_view name) {
   return hash;
 }
 
-}  // namespace
-
-void EncodePolicyStateInto(const PolicyState& state, ByteWriter& writer) {
+// Writes the blob's four segments in order: format version + theta, the
+// snapshot pool, the restore-failure ledger, the commit marks. A caller that
+// holds the pool's encoding already passes it as `pool_segment`; the store's
+// per-request encode reuses it while the pool is unchanged.
+void EncodeSegments(const PolicyState& state, const std::vector<uint8_t>* pool_segment,
+                    ByteWriter& writer) {
   writer.WriteUint32(kStateFormatVersion);
   state.theta.Serialize(writer);
-  state.pool.Serialize(writer);
+  if (pool_segment != nullptr) {
+    writer.WriteRaw(*pool_segment);
+  } else {
+    state.pool.Serialize(writer);
+  }
   writer.WriteVarint(state.restore_failures.size());
   for (const auto& [id, count] : state.restore_failures) {
     writer.WriteVarint(id);
@@ -43,6 +51,12 @@ void EncodePolicyStateInto(const PolicyState& state, ByteWriter& writer) {
     writer.WriteVarint(scope);
     writer.WriteVarint(mark);
   }
+}
+
+}  // namespace
+
+void EncodePolicyStateInto(const PolicyState& state, ByteWriter& writer) {
+  EncodeSegments(state, /*pool_segment=*/nullptr, writer);
 }
 
 std::vector<uint8_t> EncodePolicyState(const PolicyState& state) {
@@ -60,17 +74,34 @@ Result<PolicyState> DecodePolicyState(std::span<const uint8_t> bytes) {
   PRONGHORN_ASSIGN_OR_RETURN(WeightVector theta, WeightVector::Deserialize(reader));
   PRONGHORN_ASSIGN_OR_RETURN(SnapshotPool pool, SnapshotPool::Deserialize(reader));
   PolicyState state(std::move(theta), std::move(pool));
+  // The encoder walks std::maps, so a blob it wrote lists each map's keys
+  // strictly ascending and every value in range. Anything else would decode
+  // to a state that re-encodes to different bytes: reject it instead.
   PRONGHORN_ASSIGN_OR_RETURN(uint64_t failures, reader.ReadVarint());
   for (uint64_t i = 0; i < failures; ++i) {
     PRONGHORN_ASSIGN_OR_RETURN(uint64_t id, reader.ReadVarint());
     PRONGHORN_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-    state.restore_failures[id] = static_cast<uint32_t>(count);
+    if (i > 0 && id <= state.restore_failures.rbegin()->first) {
+      return DataLossError("restore-failure ledger keys not strictly ascending");
+    }
+    if (count > std::numeric_limits<uint32_t>::max()) {
+      return DataLossError("restore-failure count out of range");
+    }
+    state.restore_failures.emplace_hint(state.restore_failures.end(), id,
+                                        static_cast<uint32_t>(count));
   }
   PRONGHORN_ASSIGN_OR_RETURN(uint64_t marks, reader.ReadVarint());
   for (uint64_t i = 0; i < marks; ++i) {
     PRONGHORN_ASSIGN_OR_RETURN(uint64_t scope, reader.ReadVarint());
     PRONGHORN_ASSIGN_OR_RETURN(uint64_t mark, reader.ReadVarint());
-    state.commit_marks[static_cast<uint32_t>(scope)] = mark;
+    if (scope > std::numeric_limits<uint32_t>::max()) {
+      return DataLossError("commit scope out of range");
+    }
+    if (i > 0 && scope <= state.commit_marks.rbegin()->first) {
+      return DataLossError("commit-mark scopes not strictly ascending");
+    }
+    state.commit_marks.emplace_hint(state.commit_marks.end(),
+                                    static_cast<uint32_t>(scope), mark);
   }
   if (!reader.AtEnd()) {
     return DataLossError("trailing bytes after policy state");
@@ -89,7 +120,9 @@ PolicyStateStore::PolicyStateStore(KvDatabase& db, std::string function,
       clock_(clock),
       retry_(retry),
       cache_enabled_(enable_cache),
-      jitter_rng_(HashCombine(0xbac0ffULL, StableNameHash(function_))) {}
+      jitter_rng_(HashCombine(0xbac0ffULL, StableNameHash(function_))) {
+  encoded_pool_.Serialize(pool_segment_);
+}
 
 void PolicyStateStore::InvalidateCache() const {
   if (cached_state_.has_value()) {
@@ -107,8 +140,13 @@ void PolicyStateStore::RememberState(const PolicyState& state, uint64_t version)
 }
 
 std::vector<uint8_t> PolicyStateStore::EncodeForCas(const PolicyState& state) const {
+  if (state.pool != encoded_pool_) {
+    pool_segment_.Clear();
+    state.pool.Serialize(pool_segment_);
+    encoded_pool_ = state.pool;
+  }
   encode_buffer_.Clear();
-  EncodePolicyStateInto(state, encode_buffer_);
+  EncodeSegments(state, &pool_segment_.data(), encode_buffer_);
   return encode_buffer_.data();
 }
 
@@ -174,7 +212,7 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
   int conflicts = 0;
   for (int attempt = 0; attempt < retry_.max_cas_attempts; ++attempt) {
     uint64_t version = 0;
-    PolicyState state(config_);
+    std::optional<PolicyState> state;
     auto versioned = db_.GetVersioned(StateKey());
     if (versioned.ok()) {
       version = versioned->version;
@@ -184,7 +222,7 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
         // the CAS below either re-installs the mutated successor or
         // invalidates, so the pristine copy is never needed again.
         cache_stats_.hits += 1;
-        state = *std::move(cached_state_);
+        state = std::move(cached_state_);
         cached_state_.reset();
       } else {
         auto decoded = DecodePolicyState(versioned->value);
@@ -195,7 +233,7 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
         if (cache_enabled_) {
           cache_stats_.misses += 1;
         }
-        state = *std::move(decoded);
+        state.emplace(*std::move(decoded));
       }
     } else if (versioned.status().code() == StatusCode::kUnavailable) {
       if (++transient_failures > retry_.max_transient_retries) {
@@ -209,12 +247,13 @@ Status PolicyStateStore::Update(const std::function<void(PolicyState&)>& mutate)
       return versioned.status();
     } else {
       InvalidateCache();  // Fresh key: any cached version tag is meaningless.
+      state.emplace(config_);
     }
 
-    mutate(state);
+    mutate(*state);
 
     stats_.cas_attempts += 1;
-    Status cas = db_.CompareAndSwap(StateKey(), version, EncodeForCas(state));
+    Status cas = db_.CompareAndSwap(StateKey(), version, EncodeForCas(*state));
     if (cas.ok()) {
       if (cache_enabled_) {
         // A successful CAS at `version` installs the blob at version + 1;

@@ -117,8 +117,10 @@ class PolicyStateStore {
   void InvalidateCache() const;
   void RememberState(const PolicyState& state, uint64_t version) const;
 
-  // Encodes through the reusable buffer: no buffer growth after warm-up,
-  // one exact-size allocation for the CAS-owned copy.
+  // EncodePolicyState's bytes through the reusable buffer: no buffer growth
+  // after warm-up, one exact-size allocation for the CAS-owned copy. The
+  // pool segment is re-encoded only when the pool differs from
+  // `encoded_pool_`; theta and the two small maps are written every time.
   std::vector<uint8_t> EncodeForCas(const PolicyState& state) const;
 
   KvDatabase& db_;
@@ -139,6 +141,13 @@ class PolicyStateStore {
   mutable uint64_t cached_version_ = 0;
   mutable StateCacheStats cache_stats_;
   mutable ByteWriter encode_buffer_;
+
+  // Pool-segment memo, keyed by content: `pool_segment_` holds exactly
+  // encoded_pool_.Serialize(), and is reused while a state's pool compares
+  // equal to `encoded_pool_`. Equal pools encode to equal bytes, so the memo
+  // cannot go stale and needs no invalidation.
+  mutable SnapshotPool encoded_pool_;
+  mutable ByteWriter pool_segment_;
 };
 
 }  // namespace pronghorn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "src/common/mathutil.h"
 
@@ -157,9 +158,7 @@ double WeightVector::LifetimeLatencySum(uint64_t start, uint32_t beta) const {
 
 void WeightVector::Serialize(ByteWriter& writer) const {
   writer.WriteVarint(values_.size());
-  for (double v : values_) {
-    writer.WriteDouble(v);
-  }
+  writer.WriteDoubles(values_);
 }
 
 Result<WeightVector> WeightVector::Deserialize(ByteReader& reader) {
@@ -170,8 +169,8 @@ Result<WeightVector> WeightVector::Deserialize(ByteReader& reader) {
   WeightVector vector(static_cast<uint32_t>(length));
   for (uint64_t i = 0; i < length; ++i) {
     PRONGHORN_ASSIGN_OR_RETURN(double v, reader.ReadDouble());
-    if (v < 0.0) {
-      return DataLossError("negative latency in weight vector");
+    if (!std::isfinite(v) || v < 0.0) {
+      return DataLossError("negative or non-finite latency in weight vector");
     }
     vector.values_[i] = v;
   }

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
 
@@ -21,7 +22,9 @@
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/core/policy_state_store.h"
 #include "src/core/request_centric_policy.h"
+#include "src/store/kv_database.h"
 
 namespace {
 
@@ -176,6 +179,58 @@ TEST(AllocHookTest, SteadyStateDecisionPathIsAllocationFree) {
                      << "(start=" << start_allocs
                      << " complete=" << complete_allocs << ")";
   }
+}
+
+// Heap allocations made by one warm policy-state commit: a decoded-state
+// cache hit whose mutation changes one theta entry and leaves the pool alone.
+unsigned long WarmCommitAllocations(uint32_t max_checkpoint_request, uint32_t beta,
+                                    uint64_t pool_size) {
+  PolicyConfig config;
+  config.max_checkpoint_request = max_checkpoint_request;
+  config.beta = beta;
+  InMemoryKvDatabase db;
+  PolicyStateStore store(db, "f", config);
+  for (uint64_t id = 1; id <= pool_size; ++id) {
+    EXPECT_TRUE(store
+                    .Update([id](PolicyState& state) {
+                      state.theta.Update(id, 0.01, 0.3);
+                      EXPECT_TRUE(state.pool.Add(Entry(id, id)).ok());
+                    })
+                    .ok());
+  }
+  const std::function<void(PolicyState&)> observe = [](PolicyState& state) {
+    state.theta.Update(7, 0.02, 0.3);
+  };
+  EXPECT_TRUE(store.Update(observe).ok());  // Encodes the final pool once.
+  const uint64_t hits_before = store.cache_stats().hits;
+  unsigned long allocations = 0;
+  {
+    CountingScope scope;
+    TakeAllocationCount();
+    EXPECT_TRUE(store.Update(observe).ok());
+    allocations = TakeAllocationCount();
+  }
+  EXPECT_EQ(store.cache_stats().hits, hits_before + 1);
+  return allocations;
+}
+
+TEST(AllocHookTest, WarmCommitAllocationsDoNotGrowWithThetaOrPool) {
+  // W = max_checkpoint_request + beta + 1: 101 and 265 (the perfbench warm
+  // shape); pools of 1 and 12 entries.
+  const unsigned long small = WarmCommitAllocations(90, 10, 1);
+  const unsigned long wide_theta = WarmCommitAllocations(200, 64, 1);
+  const unsigned long full_pool = WarmCommitAllocations(90, 10, 12);
+  const unsigned long both = WarmCommitAllocations(200, 64, 12);
+  if (!kCountingReliable) {
+    GTEST_LOG_(INFO) << "sanitizer build: allocation counts not asserted (" << small
+                     << ", " << wide_theta << ", " << full_pool << ", " << both << ")";
+    return;
+  }
+  // The blob copy GetVersioned returns and the blob handed to the CAS.
+  EXPECT_EQ(small, 2u);
+  EXPECT_EQ(wide_theta, 2u);
+  EXPECT_EQ(full_pool, 2u);
+  EXPECT_EQ(both, 2u);
 }
 
 TEST(AllocHookTest, CountingHooksObserveOrdinaryAllocations) {

@@ -53,6 +53,32 @@ TEST(ByteRoundTripTest, DoubleSpecialValues) {
   EXPECT_EQ(reader.ReadDouble().value(), std::numeric_limits<double>::denorm_min());
 }
 
+TEST(ByteWriterTest, BulkDoublesMatchOneAtATimeBitForBit) {
+  // The bulk writer must produce the per-value little-endian bit patterns,
+  // signed zeros, NaN payloads and denormals included, after a prefix that
+  // leaves the run unaligned.
+  std::vector<double> values = {0.0, -0.0, 1.5, -2.25e-300,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(11);
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(rng.Gaussian(0.0, 1e3));
+  }
+  ByteWriter one_at_a_time;
+  ByteWriter bulk;
+  for (ByteWriter* writer : {&one_at_a_time, &bulk}) {
+    writer->WriteUint8(0x5a);
+  }
+  for (const double value : values) {
+    one_at_a_time.WriteDouble(value);
+  }
+  bulk.WriteDoubles(values);
+  EXPECT_EQ(bulk.data(), one_at_a_time.data());
+  bulk.WriteDoubles({});
+  EXPECT_EQ(bulk.size(), 1 + 8 * values.size());
+}
+
 TEST(ByteRoundTripTest, StringsAndBytes) {
   ByteWriter writer;
   writer.WriteString("hello");
